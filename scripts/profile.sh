@@ -72,15 +72,22 @@ for b in "${BENCHES[@]}"; do
   [[ -x "$bin" ]] || { echo "missing bench binary: $bin" >&2; exit 1; }
   echo ""
   echo "== $b: top $TOP functions by self time =="
+  # Each report goes to a file before it is cut to the top rows: piping a
+  # long report straight into `head` kills the writer with SIGPIPE once
+  # head exits, and under `pipefail` that status (141) aborts the script
+  # after the first bench.
+  report="$workdir/$b.report"
   if [[ "$USE_PERF" == "1" ]]; then
     perf record -o "$workdir/$b.perf" --quiet -- "$bin" > /dev/null
     perf report -i "$workdir/$b.perf" --stdio --percent-limit 0.2 \
-        2>/dev/null | grep -v '^#' | awk 'NF' | head -n "$TOP"
+        2>/dev/null | grep -v '^#' | awk 'NF' > "$report"
+    head -n "$TOP" "$report"
   else
     # gprof writes gmon.out into the CWD of the profiled process.
     bin_abs=$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")
     (cd "$workdir" && CODA_ENGINE_THREADS=1 "$bin_abs" > /dev/null 2>&1)
-    gprof -b -p "$bin_abs" "$workdir/gmon.out" | head -n "$((TOP + 5))"
+    gprof -b -p "$bin_abs" "$workdir/gmon.out" > "$report"
+    head -n "$((TOP + 5))" "$report"
     rm -f "$workdir/gmon.out"
   fi
 done

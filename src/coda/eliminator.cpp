@@ -8,6 +8,19 @@
 
 namespace coda::core {
 
+ContentionEliminator::ContentionEliminator(const EliminatorConfig& config,
+                                           const sched::SchedulerEnv* env,
+                                           CpuResizeCallback on_cpu_resize,
+                                           UserFacingPredicate is_user_facing)
+    : config_(config),
+      env_(env),
+      on_cpu_resize_(std::move(on_cpu_resize)),
+      is_user_facing_(std::move(is_user_facing)) {
+  if (config_.enabled && env_->set_pressure_screen_floor) {
+    env_->set_pressure_screen_floor(config_.bw_threshold);
+  }
+}
+
 void ContentionEliminator::save_state(state::Writer* w) const {
   w->line("elim_stats", stats_.checks, stats_.nodes_over_threshold,
           stats_.mba_throttles, stats_.core_halvings, stats_.releases);
@@ -45,61 +58,65 @@ void ContentionEliminator::check_all(
   }
   ++stats_.checks;
   const auto& nodes = env_->cluster->nodes();
-  // One sparse batched MBM read screens the whole pass: ascending (id,
-  // pressure) rows covering every node that could read nonzero — an
-  // unlisted node's pressure is exactly 0.0, where check_node is a no-op
-  // below the threshold and release_node can only find throttle records on
-  // nodes that host jobs (which the screen lists). Visiting the listed
-  // nodes therefore makes exactly the decisions the old one-probe-per-node
-  // full loop made, at O(occupied) instead of O(cluster) per tick.
-  //
-  // Acting on a node — a cap, a resize — may shift pressure readings later
-  // in the same pass, so after the first action the pass falls back to live
-  // per-node probes (a mutation never populates a node the screen skipped:
-  // caps and resizes move no job between nodes, so unlisted nodes stay at
-  // exactly zero).
+  // One batched MBM read screens the pass: ascending (id, pressure) rows
+  // for every occupied node at or above bw_threshold (the floor registered
+  // at construction). check_node is a no-op on any other node. The only
+  // other per-node work is release_node, which can act only on a node
+  // holding a throttle record, so in release mode the pass merges those
+  // nodes in and probes them live. Visiting the union in ascending order
+  // makes exactly the decisions a scan of every occupied node makes, at
+  // O(hot + throttled) per tick instead of O(occupied).
   env_->bandwidth->pressure_screen(nodes.size(), &screen_ids_,
                                    &pressure_scratch_);
-  bool stale = false;
-  size_t i = 0;
-  // Fast path while nothing has mutated: the screen value decides both
-  // per-node branches outright — check_node is a no-op below bw_threshold,
-  // and release_node is a no-op at/above release_threshold or with nothing
-  // throttled — so rows failing both predicates are skipped without a
-  // call. Only sub-threshold sample_into scratch writes are elided.
-  // throttled_ cannot change while !stale (every record mutation flips
-  // stale), so hoisting the emptiness test out of the loop is safe.
-  const bool may_release = config_.release_when_calm && !throttled_.empty();
-  for (; i < screen_ids_.size() && !stale; ++i) {
-    const double screened = pressure_scratch_[i];
-    const bool check_candidate = screened >= config_.bw_threshold;
-    const bool release_candidate =
-        may_release && screened < config_.release_threshold;
-    if (!check_candidate && !release_candidate) {
-      continue;
+  throttled_nodes_.clear();
+  if (config_.release_when_calm) {
+    for (const auto& [job, rec] : throttled_) {
+      throttled_nodes_.push_back(rec.node);
     }
-    const cluster::Node& node = nodes[screen_ids_[i]];
-    if (check_node(node, expected_util, screened)) {
+    std::sort(throttled_nodes_.begin(), throttled_nodes_.end());
+    throttled_nodes_.erase(
+        std::unique(throttled_nodes_.begin(), throttled_nodes_.end()),
+        throttled_nodes_.end());
+  }
+  // Acting on a node — a cap, a resize — changes that node's pressure
+  // only: caps and resizes move no job and touch no other node's
+  // contention. So after the first action the rest of the merged list is
+  // still the live set above the current id (hot nodes, throttled nodes),
+  // and only its readings go stale: from then on every visit re-probes.
+  bool stale = false;
+  size_t h = 0;
+  size_t c = 0;
+  while (h < screen_ids_.size() || c < throttled_nodes_.size()) {
+    cluster::NodeId id;
+    bool screened = false;
+    double p = 0.0;
+    if (c == throttled_nodes_.size() ||
+        (h < screen_ids_.size() && screen_ids_[h] <= throttled_nodes_[c])) {
+      id = screen_ids_[h];
+      p = pressure_scratch_[h];
+      screened = true;
+      ++h;
+      if (c < throttled_nodes_.size() && throttled_nodes_[c] == id) {
+        ++c;
+      }
+    } else {
+      id = throttled_nodes_[c++];
+      if (nodes[id].allocations().empty()) {
+        continue;  // an empty node never held a live throttle
+      }
+    }
+    const cluster::Node& node = nodes[id];
+    if (stale || !screened) {
+      p = env_->bandwidth->pressure(id);
+    }
+    if (check_node(node, expected_util, p)) {
       stale = true;
     }
     if (config_.release_when_calm) {
-      const double sp =
-          stale ? env_->bandwidth->pressure(node.id()) : screened;
+      const double sp = stale ? env_->bandwidth->pressure(id) : p;
       if (release_node(node, sp)) {
         stale = true;
       }
-    }
-  }
-  // A node acted: pressure readings may have shifted, so the rest of the
-  // pass falls back to live probes on the remaining screened nodes.
-  for (; i < screen_ids_.size(); ++i) {
-    const cluster::Node& node = nodes[screen_ids_[i]];
-    if (check_node(node, expected_util, env_->bandwidth->pressure(node.id()))) {
-      stale = true;
-    }
-    if (config_.release_when_calm &&
-        release_node(node, env_->bandwidth->pressure(node.id()))) {
-      stale = true;
     }
   }
 }

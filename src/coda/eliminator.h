@@ -1,9 +1,12 @@
 // Real-time contention eliminator (paper Sec. V-D).
 //
-// Watches every node's total memory bandwidth (simulated Intel MBM). When a
-// node crosses the threshold (75% of capacity by default) AND a co-located
-// DNN training job's GPU utilization has dropped below what its current
-// allocation should deliver, the eliminator throttles the node's CPU jobs:
+// Watches the memory bandwidth (simulated Intel MBM) of the nodes at or
+// above its threshold: it registers that threshold as the bandwidth
+// source's screen floor, and each pass visits the source's hot set plus the
+// nodes it holds throttles on. When a node crosses the threshold (75% of
+// capacity by default) AND a co-located DNN training job's GPU utilization
+// has dropped below what its current allocation should deliver, the
+// eliminator throttles the node's CPU jobs:
 // an MBA bandwidth cap on capable nodes, or halving the CPU job's cores on
 // nodes without MBA. DNN jobs are never throttled (they have priority and
 // do not contend with each other severely, Sec. IV-C).
@@ -64,20 +67,21 @@ class ContentionEliminator {
   // Sec. V-A). Optional; nullptr means "no exempt jobs".
   using UserFacingPredicate = std::function<bool(cluster::JobId)>;
 
+  // An enabled eliminator registers bw_threshold as the screen floor
+  // (SchedulerEnv::set_pressure_screen_floor) here.
   ContentionEliminator(const EliminatorConfig& config,
                        const sched::SchedulerEnv* env,
                        CpuResizeCallback on_cpu_resize = nullptr,
-                       UserFacingPredicate is_user_facing = nullptr)
-      : config_(config),
-        env_(env),
-        on_cpu_resize_(std::move(on_cpu_resize)),
-        is_user_facing_(std::move(is_user_facing)) {}
+                       UserFacingPredicate is_user_facing = nullptr);
 
   const EliminatorConfig& config() const { return config_; }
   const EliminatorStats& stats() const { return stats_; }
 
-  // One monitoring pass over every node (call from a periodic simulator
-  // event). `expected_util(job)` is the no-contention utilization reference.
+  // One monitoring pass (call from a periodic simulator event): one
+  // pressure screen, then the screened nodes and — with release_when_calm —
+  // the nodes holding throttle records, in ascending id order. Makes the
+  // decisions a scan of every occupied node would. `expected_util(job)` is
+  // the no-contention utilization reference.
   void check_all(
       const std::function<double(cluster::JobId)>& expected_util);
 
@@ -97,11 +101,12 @@ class ContentionEliminator {
   void save_state(state::Writer* w) const;
   void load_state(state::Reader* r);
 
- private:
-  // `screened_pressure` is the node's pressure as sampled by the pass's
-  // batched screen (or a live re-probe once the pass has mutated state).
-  // Both return whether they changed cluster state — a cap set, a resize —
-  // which forces later nodes in the same pass back onto live probes.
+ protected:
+  // The per-node steps of a pass (also driven by the reference scan in
+  // tests/oracle). `screened_pressure` is the node's pressure as sampled by
+  // the pass's batched screen (or a live re-probe once the pass has mutated
+  // state). Both return whether they changed cluster state — a cap set, a
+  // resize — which forces later nodes in the same pass onto live probes.
   bool check_node(const cluster::Node& node,
                   const std::function<double(cluster::JobId)>& expected_util,
                   double screened_pressure);
@@ -116,19 +121,23 @@ class ContentionEliminator {
 
   EliminatorConfig config_;
   const sched::SchedulerEnv* env_;
+  EliminatorStats stats_;
+
+ private:
   CpuResizeCallback on_cpu_resize_;
   UserFacingPredicate is_user_facing_;
-  EliminatorStats stats_;
   std::map<cluster::JobId, ThrottleRecord> throttled_;
-  // Probe scratch reused across check/release passes: the eliminator samples
-  // every node every check period, and each sample used to allocate a fresh
-  // jobs vector.
+  // Probe scratch reused across check/release calls, so sampling a node
+  // allocates nothing.
   telemetry::NodeBandwidthSample sample_scratch_;
-  // Per-pass batched screen (BandwidthSource::pressure_screen): one sparse
-  // MBM read — parallel (id, pressure) rows for possibly-nonzero nodes —
-  // instead of node_count independent probes.
+  // Per-pass batched screen (BandwidthSource::pressure_screen): parallel
+  // (id, pressure) rows for the hot nodes, instead of node_count
+  // independent probes.
   std::vector<cluster::NodeId> screen_ids_;
   std::vector<double> pressure_scratch_;
+  // Per-pass sorted, deduplicated nodes named by throttle records (release
+  // mode): merged with the screen so calm nodes get their release check.
+  std::vector<cluster::NodeId> throttled_nodes_;
 };
 
 }  // namespace coda::core

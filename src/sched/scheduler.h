@@ -111,6 +111,14 @@ struct SchedulerEnv {
   // Live telemetry probes (simulated nvidia-smi and Intel MBM).
   telemetry::GpuUtilSource* gpu_util = nullptr;
   telemetry::BandwidthSource* bandwidth = nullptr;
+  // Registers the lowest pressure the periodic screen must report:
+  // `bandwidth->pressure_screen` then lists every occupied node at or above
+  // this floor and may omit the rest (the engine keeps that hot set current
+  // as contention changes). The contention eliminator registers its
+  // bw_threshold; a later registration replaces the floor. Null when the
+  // source keeps no floor; the screen then lists every node that may read
+  // nonzero.
+  std::function<void(double)> set_pressure_screen_floor;
 
   // Simulated Intel MBA caps: set_bw_cap fails on non-MBA nodes.
   std::function<util::Status(cluster::NodeId, cluster::JobId, double)>

@@ -22,12 +22,14 @@ ClusterEngine::ClusterEngine(const EngineConfig& config,
       noise_rng_(config.noise_seed),
       event_log_(config.record_events) {
   jobs_on_node_.resize(cluster_.node_count());
-  occupied_nodes_.reset(cluster_.node_count());
   node_bw_caps_.reserve(cluster_.node_count());
   for (const auto& node : cluster_.nodes()) {
     node_bw_caps_.push_back(node.config().mem_bw_gbps);
   }
   node_reports_.resize(cluster_.node_count());
+  node_pressure_.assign(cluster_.node_count(), 0.0);
+  node_mem_load_.assign(cluster_.node_count(), 0.0);
+  hot_nodes_.reset(cluster_.node_count());
   for (auto& list : jobs_on_node_) {
     list.reserve(16);  // a 28-core node rarely hosts more residents
   }
@@ -100,6 +102,9 @@ ClusterEngine::ClusterEngine(const EngineConfig& config,
     return mba_.cap(node, id);
   };
   env.abandon_job = [this](cluster::JobId id) { abandon_job(id); };
+  env.set_pressure_screen_floor = [this](double floor) {
+    set_pressure_screen_floor(floor);
+  };
   scheduler_->attach(env);
 
   if (!restore_mode) {
@@ -232,9 +237,6 @@ util::Status ClusterEngine::start_job(cluster::JobId id,
     st.cpus = np.cpus;
     rebuild_footprint(running, np.node);
     jobs_on_node_[np.node].push_back(Resident{id, &running, &st});
-    if (jobs_on_node_[np.node].size() == 1) {
-      occupied_nodes_.insert(np.node);
-    }
   }
   for (const auto& np : placement.nodes) {
     mark_node_dirty(np.node);
@@ -301,14 +303,12 @@ util::Status ClusterEngine::stop_running_job(cluster::JobId id,
     list.erase(std::remove_if(list.begin(), list.end(),
                               [id](const Resident& r) { return r.id == id; }),
                list.end());
-    if (list.empty()) {
-      occupied_nodes_.erase(np.node);
-    }
     auto release = cluster_.node(np.node).release(id);
     CODA_ASSERT(release.ok());
     affected.push_back(np.node);
   }
   mba_.clear_job(id);
+  erase_ledger(id);
   running_.erase(it);
   for (cluster::NodeId node : affected) {
     mark_node_dirty(node);
@@ -430,14 +430,12 @@ void ClusterEngine::finish_job(cluster::JobId id) {
     list.erase(std::remove_if(list.begin(), list.end(),
                               [id](const Resident& r) { return r.id == id; }),
                list.end());
-    if (list.empty()) {
-      occupied_nodes_.erase(np.node);
-    }
     auto release = cluster_.node(np.node).release(id);
     CODA_ASSERT(release.ok());
     affected.push_back(np.node);
   }
   mba_.clear_job(id);
+  erase_ledger(id);
   running_.erase(it);
   remaining_work_.erase(id);
   ++finished_count_;
@@ -591,6 +589,7 @@ void ClusterEngine::flush_dirty_nodes() {
       }
       update_rate(*residents[i].job);
     }
+    refresh_node_screen(node);
   }
   dirty_nodes_.clear();
 }
@@ -698,6 +697,40 @@ void ClusterEngine::recompute_node(cluster::NodeId node) {
     st.achieved_bw = report.jobs[i].achieved_bw_gbps;
     update_rate(*residents[i].job);
   }
+  refresh_node_screen(node);
+}
+
+void ClusterEngine::refresh_node_screen(cluster::NodeId node) {
+  const perfmodel::NodeContentionReport& report = node_reports_[node];
+  const double cap = node_bw_caps_[node];
+  double total = 0.0;
+  if (cap > 0.0) {
+    for (const auto& jc : report.jobs) {
+      total += jc.achieved_bw_gbps;
+    }
+  }
+  const double pressure = cap > 0.0 ? total / cap : 0.0;
+  const bool occupied = !jobs_on_node_[node].empty();
+  node_pressure_[node] = pressure;
+  node_mem_load_[node] = occupied ? std::min(1.0, report.mem_pressure) : 0.0;
+  const bool hot = occupied && pressure >= screen_floor_;
+  if (hot != hot_nodes_.contains(node)) {
+    if (hot) {
+      hot_nodes_.insert(node);
+    } else {
+      hot_nodes_.erase(node);
+    }
+  }
+}
+
+void ClusterEngine::set_pressure_screen_floor(double floor) {
+  screen_floor_ = floor;
+  hot_nodes_.reset(cluster_.node_count());
+  for (size_t n = 0; n < node_pressure_.size(); ++n) {
+    if (!jobs_on_node_[n].empty() && node_pressure_[n] >= screen_floor_) {
+      hot_nodes_.insert(static_cast<cluster::NodeId>(n));
+    }
+  }
 }
 
 void ClusterEngine::advance_progress(RunningJob& job) {
@@ -772,6 +805,9 @@ void ClusterEngine::update_rate(RunningJob& job) {
     job.rate *= spec.checkpoint_interval_s /
                 (spec.checkpoint_interval_s + spec.checkpoint_overhead_s);
   }
+  // The ledger rows read more than the rate (each leg's cores and prep
+  // time), so they are rewritten even when the rate stays put.
+  write_ledger(job);
   // An unchanged rate leaves the finish instant where it is: the pending
   // event's time equals now + remaining/rate in exact arithmetic (and with
   // LESS accumulated rounding — it was anchored when the rate last actually
@@ -795,6 +831,58 @@ void ClusterEngine::reschedule_finish(RunningJob& job) {
   job.finish_event =
       sim_.schedule_after(dt, [this, id] { finish_job(id); },
                           simcore::EventTag{simcore::kTagJobFinish, id});
+}
+
+void ClusterEngine::write_ledger(const RunningJob& job) {
+  auto it = std::lower_bound(
+      ledger_.begin(), ledger_.end(), job.id,
+      [](const LedgerRow& row, cluster::JobId id) { return row.job < id; });
+  if (it == ledger_.end() || it->job != job.id) {
+    it = ledger_.insert(it, job.nodes.size(), LedgerRow{});
+  }
+  const workload::JobSpec& spec = *job.spec;
+  for (size_t leg = 0; leg < job.nodes.size(); ++leg, ++it) {
+    const PerNodeState& st = job.nodes[leg].second;
+    LedgerRow& row = *it;
+    row = LedgerRow{};
+    row.job = job.id;
+    if (spec.is_gpu_job()) {
+      // GPU utilization is weighted per job (leg 0); busy cores per leg,
+      // from the prep stage's share of an iteration. The prep time comes
+      // from the eval cache, which update_rate refreshes just before this
+      // call and load_state restores verbatim; no path writes (cpus,
+      // factors) without a rate update following.
+      uint64_t prep_bits;
+      uint64_t gpu_bits;
+      std::memcpy(&prep_bits, &st.factors.prep_inflation, sizeof(prep_bits));
+      std::memcpy(&gpu_bits, &st.factors.gpu_inflation, sizeof(gpu_bits));
+      CODA_ASSERT_MSG(st.eval_cpus == std::max(1, st.cpus) &&
+                          st.eval_prep_bits == prep_bits &&
+                          st.eval_gpu_bits == gpu_bits,
+                      "ledger row from a stale eval cache");
+      if (leg == 0) {
+        row.gpus = spec.total_gpus();
+        row.gpu_term = job.gpu_util * row.gpus;
+      }
+      const double iter = 1.0 / job.rate;
+      row.cpu_term = st.cpus * std::min(1.0, st.eval_prep / iter);
+      row.cores = st.cpus;
+    } else if (leg == 0) {
+      row.cpu_term = st.cpus * st.cpu_rate_factor;
+      row.cores = st.cpus;
+    }
+  }
+}
+
+void ClusterEngine::erase_ledger(cluster::JobId id) {
+  auto first = std::lower_bound(
+      ledger_.begin(), ledger_.end(), id,
+      [](const LedgerRow& row, cluster::JobId j) { return row.job < j; });
+  auto last = first;
+  while (last != ledger_.end() && last->job == id) {
+    ++last;
+  }
+  ledger_.erase(first, last);
 }
 
 void ClusterEngine::rearm_finish(double t, cluster::JobId id) {
@@ -838,48 +926,27 @@ void ClusterEngine::sample_into(cluster::NodeId node,
 }
 
 double ClusterEngine::pressure(cluster::NodeId node) const {
-  ensure_synced();
-  const double cap = node_bw_caps_[node];
-  if (cap <= 0.0) {
-    return 0.0;
-  }
   // After the flush every report row is a live job (finish/evict mark the
-  // node dirty), so summing the report directly matches sample_into's
-  // live-filtered total — same rows, same order, same bits — without the
-  // per-row running_ lookups. The eliminator screens every node with this
-  // each tick; keeping it allocation- and lookup-free is what makes the
-  // periodic full-cluster scan cheap.
-  double total = 0.0;
-  for (const auto& jc : node_reports_[node].jobs) {
-    total += jc.achieved_bw_gbps;
-  }
-  return total / cap;
+  // node dirty), so the maintained row sum matches sample_into's
+  // live-filtered total — same rows, same order, same bits.
+  ensure_synced();
+  return node_pressure_[node];
 }
 
 void ClusterEngine::pressure_screen(size_t node_count,
                                     std::vector<cluster::NodeId>* ids,
                                     std::vector<double>* out) const {
+  // After the sync the hot set holds exactly the occupied nodes at or above
+  // the floor; every other node reads below it (or +0.0 when empty).
   ensure_synced();
-  // After the sync, a node outside occupied_nodes_ has an empty report, and
-  // an empty report sums to pressure +0.0 exactly (0.0 / cap, or the cap<=0
-  // early-out) — so listing only occupied nodes satisfies the screen
-  // contract. The occupied set is bounded by the running-job count, not N,
-  // which keeps the eliminator's periodic screen off the 10k-node wall.
   ids->clear();
   out->clear();
-  for (cluster::NodeId id = occupied_nodes_.next_at_least(0);
+  for (cluster::NodeId id = hot_nodes_.next_at_least(0);
        id != cluster::IdBitmap::kNone &&
        id < static_cast<cluster::NodeId>(node_count);
-       id = occupied_nodes_.next_at_least(id + 1)) {
-    const double cap = node_bw_caps_[id];
-    double total = 0.0;
-    if (cap > 0.0) {
-      for (const auto& jc : node_reports_[id].jobs) {
-        total += jc.achieved_bw_gbps;
-      }
-    }
+       id = hot_nodes_.next_at_least(id + 1)) {
     ids->push_back(id);
-    out->push_back(cap > 0.0 ? total / cap : 0.0);
+    out->push_back(node_pressure_[id]);
   }
 }
 
@@ -980,58 +1047,29 @@ void ClusterEngine::sample_metrics() {
       t, static_cast<double>(scheduler_->pending_gpu_jobs()));
 
   // GPU utilization averaged over *active* GPUs (the paper's definition);
-  // CPU utilization over active cores.
+  // CPU utilization over active cores. The ledger rows are the running
+  // jobs' terms in job-id order (the flush above made them current); the
+  // +0.0 filler terms are bit-neutral on these non-negative sums.
   double gpu_util_weighted = 0.0;
   int active_gpus = 0;
   double cpu_busy = 0.0;
   int active_cores = 0;
-  for (const auto& [id, job] : running_) {
-    const workload::JobSpec& spec = *job.spec;
-    if (spec.is_gpu_job()) {
-      const int gpus = spec.total_gpus();
-      gpu_util_weighted += job.gpu_util * gpus;
-      active_gpus += gpus;
-      for (const auto& [node, st] : job.nodes) {
-        // update_rate keeps the eval cache in sync with (cpus, factors)
-        // whenever rates are fresh — which flush_dirty_nodes() above just
-        // guaranteed — so the prep stage costs no model lookup here. The
-        // bit-compare fallback covers any path that mutated state without a
-        // rate update; it returns the identical value either way.
-        uint64_t prep_bits;
-        uint64_t gpu_bits;
-        std::memcpy(&prep_bits, &st.factors.prep_inflation,
-                    sizeof(prep_bits));
-        std::memcpy(&gpu_bits, &st.factors.gpu_inflation, sizeof(gpu_bits));
-        const bool cached = st.eval_cpus == std::max(1, st.cpus) &&
-                            st.eval_prep_bits == prep_bits &&
-                            st.eval_gpu_bits == gpu_bits;
-        const double prep =
-            cached ? st.eval_prep
-                   : perf_.prep_time(spec.model, spec.train_config,
-                                     std::max(1, st.cpus), st.factors);
-        const double iter = 1.0 / job.rate;
-        cpu_busy += st.cpus * std::min(1.0, prep / iter);
-        active_cores += st.cpus;
-      }
-    } else {
-      const auto& st = job.nodes.front().second;
-      cpu_busy += st.cpus * st.cpu_rate_factor;
-      active_cores += st.cpus;
-    }
+  for (const LedgerRow& row : ledger_) {
+    gpu_util_weighted += row.gpu_term;
+    active_gpus += row.gpus;
+    cpu_busy += row.cpu_term;
+    active_cores += row.cores;
   }
   series_.gpu_util_active->add(
       t, active_gpus > 0 ? gpu_util_weighted / active_gpus : 0.0);
   series_.cpu_util_active->add(
       t, active_cores > 0 ? cpu_busy / active_cores : 0.0);
 
-  // Unoccupied nodes hold an empty report with mem_pressure exactly +0.0;
-  // adding +0.0 never changes a non-negative sum's bits, so summing the
-  // occupied nodes in ascending id order matches the old full-vector scan.
+  // Unoccupied nodes carry +0.0, so the id-order sum equals the sum over
+  // occupied nodes alone.
   double pressure = 0.0;
-  for (cluster::NodeId id = occupied_nodes_.next_at_least(0);
-       id != cluster::IdBitmap::kNone;
-       id = occupied_nodes_.next_at_least(id + 1)) {
-    pressure += std::min(1.0, node_reports_[id].mem_pressure);
+  for (const double load : node_mem_load_) {
+    pressure += load;
   }
   series_.mem_pressure->add(
       t, pressure / static_cast<double>(node_reports_.size()));

@@ -34,6 +34,10 @@ class Writer;
 class Reader;
 }  // namespace coda::state
 
+namespace coda::oracle {
+class EngineOracle;
+}  // namespace coda::oracle
+
 namespace coda::sim {
 
 struct EngineConfig {
@@ -180,10 +184,13 @@ class ClusterEngine : public telemetry::BandwidthSource,
   void sample_into(cluster::NodeId node,
                    telemetry::NodeBandwidthSample* out) const override;
   double pressure(cluster::NodeId node) const override;
-  // Whole-cluster screen: one sync, then (id, pressure) rows for occupied
-  // nodes only — every unlisted node reads pressure exactly +0.0. This is
-  // the eliminator's per-tick scan; listing only occupied nodes keeps it
-  // O(running jobs) instead of O(cluster).
+  // Whole-cluster screen: one sync, then (id, pressure) rows for the hot
+  // set — every occupied node at or above the screen floor registered
+  // through SchedulerEnv::set_pressure_screen_floor (floor 0 until one is
+  // registered, which lists every occupied node). An unlisted node reads
+  // below the floor, or exactly +0.0 when it hosts nothing. The hot set is
+  // maintained where contention reports change, so the eliminator's
+  // per-tick screen costs O(hot nodes), not O(occupied) or O(cluster).
   void pressure_screen(size_t node_count,
                        std::vector<cluster::NodeId>* ids,
                        std::vector<double>* out) const override;
@@ -220,6 +227,10 @@ class ClusterEngine : public telemetry::BandwidthSource,
   telemetry::MetricRegistry& metrics_mut() { return metrics_; }
 
  private:
+  // Reference implementations of the incremental ticks (tests/oracle) walk
+  // the private job state the ticks used to scan.
+  friend class oracle::EngineOracle;
+
   struct PerNodeState {
     int cpus = 0;
     perfmodel::ResourceFootprint footprint;
@@ -345,19 +356,48 @@ class ClusterEngine : public telemetry::BandwidthSource,
   };
   // Jobs resident on each node (GPU jobs may appear on several nodes).
   std::vector<std::vector<Resident>> jobs_on_node_;
-  // Ids with a non-empty resident list, maintained on the same transitions
-  // as jobs_on_node_. After a flush, a node outside this set has an empty
-  // contention report (pressure exactly +0.0), which lets the periodic
-  // whole-cluster scans (pressure_all, the mem-pressure mean) iterate
-  // occupied nodes only instead of all N — bit-identical, since skipped
-  // nodes contribute literal zeros.
-  cluster::IdBitmap occupied_nodes_;
   // Per-node memory bandwidth capacity, copied out of the immutable node
-  // configs at construction so the periodic pressure screen reads a flat
-  // array instead of chasing Node::config() per occupied node.
+  // configs at construction (the pressure denominator).
   std::vector<double> node_bw_caps_;
   // Last contention report per node (backs the MBM sample()).
   std::vector<perfmodel::NodeContentionReport> node_reports_;
+
+  // ---- incremental tick aggregates (derived state, never serialized) ----
+  // Each is refreshed by refresh_node_screen wherever node_reports_[id] is
+  // written (recompute_node, the serial apply phase of the parallel flush,
+  // load_state), so after any sync they agree with a from-scratch scan.
+  //
+  // node_pressure_[id]: the report's achieved-bandwidth row sum over the
+  // node's capacity — exactly what pressure(id) returns.
+  std::vector<double> node_pressure_;
+  // node_mem_load_[id]: min(1, report mem_pressure) for occupied nodes,
+  // +0.0 otherwise — the metrics tick's mem-pressure mean sums this array
+  // in id order (zeros are bit-neutral on a non-negative sum).
+  std::vector<double> node_mem_load_;
+  // Occupied nodes whose pressure is at or above screen_floor_: exactly
+  // what pressure_screen lists. The floor is the one registered via
+  // SchedulerEnv::set_pressure_screen_floor (0 until then).
+  cluster::IdBitmap hot_nodes_;
+  double screen_floor_ = 0.0;
+  void refresh_node_screen(cluster::NodeId node);
+  void set_pressure_screen_floor(double floor);
+
+  // The metrics tick's per-job terms, one row per (running job, leg) and
+  // sorted by (job id, leg) — the order the tick used to walk running_ in,
+  // so summing the rows feeds every accumulator the same terms in the same
+  // sequence. update_rate rewrites a job's rows; the stop paths erase
+  // them; load_state rebuilds them.
+  struct LedgerRow {
+    cluster::JobId job = 0;
+    int cores = 0;          // leg cores
+    int gpus = 0;           // job GPUs on leg 0, else 0
+    double gpu_term = 0.0;  // gpu_util * gpus on leg 0, else +0.0
+    double cpu_term = 0.0;  // busy cores this leg contributes
+  };
+  std::vector<LedgerRow> ledger_;
+  void write_ledger(const RunningJob& job);
+  void erase_ledger(cluster::JobId id);
+
   std::map<cluster::JobId, double> pending_since_;
   std::map<cluster::JobId, double> remaining_work_;  // preserved on migration
 

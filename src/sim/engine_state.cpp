@@ -4,7 +4,9 @@
 // doubles the live engine held, so the first post-restore event observes
 // bit-identical state. Node allocations, MBA caps, metrics and the event
 // log restore by replaying their own mutation APIs (allocate/set_cap/set/
-// add/record), which fold deterministically in serialized order.
+// add/record), which fold deterministically in serialized order. The tick
+// aggregates (pressure array, hot set, metrics ledger) are derived from the
+// restored state and never written.
 //
 // Pending simulator events are NOT handled here: save_state captures a
 // quiescent engine (between dispatches, dirty nodes flushed) and the
@@ -326,9 +328,6 @@ util::Status ClusterEngine::load_state(
       }
       jobs_on_node_[node].push_back(Resident{id, &run_it->second, st});
     }
-    if (!jobs_on_node_[node].empty()) {
-      occupied_nodes_.insert(static_cast<cluster::NodeId>(node));
-    }
   }
 
   for (size_t node = 0; node < node_reports_.size() && r->ok(); ++node) {
@@ -354,6 +353,14 @@ util::Status ClusterEngine::load_state(
       jc.cpu_rate_factor = r->f64();
       rep.jobs.push_back(jc);
     }
+    refresh_node_screen(static_cast<cluster::NodeId>(node));
+  }
+  // The metrics ledger is derived from the restored rates and eval caches.
+  for (const auto& [id, job] : running_) {
+    if (!r->ok()) {
+      break;
+    }
+    write_ledger(job);
   }
 
   r->expect("mba");

@@ -37,9 +37,10 @@ class BandwidthSource {
   virtual NodeBandwidthSample sample(cluster::NodeId node) const = 0;
 
   // Allocation-free variant: fills `out` in place, reusing its vector
-  // capacity. Periodic consumers (the contention eliminator probes every
-  // node every check period) keep one scratch sample instead of rebuilding
-  // the per-job vector each tick. The default forwards to sample().
+  // capacity. Periodic consumers (the contention eliminator samples every
+  // hot node every check period) keep one scratch sample instead of
+  // rebuilding the per-job vector each tick. The default forwards to
+  // sample().
   virtual void sample_into(cluster::NodeId node,
                            NodeBandwidthSample* out) const {
     *out = sample(node);
@@ -47,9 +48,10 @@ class BandwidthSource {
 
   // Cheap threshold probe: the node's total achieved bandwidth as a
   // fraction of capacity, without materializing the per-job breakdown. The
-  // eliminator screens every node every tick with this and only pulls the
-  // full sample for the rare node over its threshold. Must agree with
-  // sample(node).pressure(); the default guarantees that by construction.
+  // eliminator re-probes nodes with this once a pass has changed state, and
+  // only pulls the full sample for a node over its threshold. Must agree
+  // with sample(node).pressure(); the default guarantees that by
+  // construction.
   virtual double pressure(cluster::NodeId node) const {
     NodeBandwidthSample s;
     sample_into(node, &s);
@@ -58,13 +60,15 @@ class BandwidthSource {
 
   // Batch screen: one MBM read per monitoring pass instead of node_count
   // independent probes. Fills two parallel arrays — ascending node ids and
-  // their pressures — covering AT LEAST every node whose pressure is
-  // nonzero; any id in [0, node_count) not listed is guaranteed to read
-  // exactly 0.0 from pressure() at the same instant, and every listed
-  // pressure must equal what pressure(id) would return. The default lists
-  // every node, which satisfies the contract trivially; the engine override
-  // syncs its dirty state once and lists only nodes with resident jobs, so
-  // the periodic screen costs O(occupied), not O(cluster).
+  // their pressures, each equal to what pressure(id) returns at the same
+  // instant. The list covers AT LEAST every node hosting jobs whose
+  // pressure is at or above the screen floor (the one registered via
+  // SchedulerEnv::set_pressure_screen_floor; 0 when none is); any id in
+  // [0, node_count) not listed reads below that floor, or exactly 0.0 when
+  // it hosts nothing. The default lists every node, which satisfies the
+  // contract trivially; the engine override syncs its dirty state once and
+  // lists its maintained hot set, so the periodic screen costs O(hot
+  // nodes), not O(cluster).
   virtual void pressure_screen(size_t node_count,
                                std::vector<cluster::NodeId>* ids,
                                std::vector<double>* out) const {

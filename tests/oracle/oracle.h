@@ -1,0 +1,50 @@
+// Reference implementations of the engine's periodic ticks.
+//
+// Production keeps the tick aggregates incrementally: the eliminator walks
+// a maintained hot-node set, and the metrics tick sums a job-ordered
+// ledger (see DESIGN.md). The scans here are the from-scratch versions
+// those structures replaced — every occupied node probed live, every
+// running job walked in id order — so tests can hold the incremental
+// ticks to bit-identical results.
+#pragma once
+
+#include <functional>
+#include <vector>
+
+#include "coda/eliminator.h"
+#include "sim/engine.h"
+
+namespace coda::oracle {
+
+// The eliminator pass as a scan of every occupied node in id order, each
+// with a live pressure probe before its check and before its release.
+class ReferenceEliminator : public core::ContentionEliminator {
+ public:
+  using ContentionEliminator::ContentionEliminator;
+
+  void check_all_reference(
+      const std::function<double(cluster::JobId)>& expected_util);
+};
+
+// The three metrics-tick series values that depend on running jobs and
+// node reports.
+struct TickAggregates {
+  double gpu_util_active = 0.0;
+  double cpu_util_active = 0.0;
+  double mem_pressure_mean = 0.0;
+};
+
+class EngineOracle {
+ public:
+  // Syncs, then walks the running jobs in id order (prep times from an
+  // independent perf model) and the occupied nodes' reports in id order.
+  static TickAggregates aggregates(const sim::ClusterEngine& engine);
+
+  // Syncs, then lists every occupied node whose report-summed pressure is
+  // at or above `floor`, in id order, with that pressure.
+  static void screen(const sim::ClusterEngine& engine, double floor,
+                     std::vector<cluster::NodeId>* ids,
+                     std::vector<double>* pressures);
+};
+
+}  // namespace coda::oracle

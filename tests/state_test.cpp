@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "coda/coda_scheduler.h"
 #include "perfmodel/contention.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
@@ -360,6 +361,96 @@ TEST(Snapshot, RestoreThenLiveInjectionMatchesDirectInjection) {
       sim::Policy::kDrf, config, trace.size() + 1, restored->scheduler,
       *restored->engine);
   EXPECT_EQ(got, want);
+}
+
+// Live throttle records held by a CODA session's eliminator, read back
+// from its own serialized state.
+uint64_t live_throttles(const core::CodaScheduler& coda) {
+  Writer w;
+  coda.eliminator().save_state(&w);
+  Reader r(w.text());
+  r.expect("elim_stats");
+  for (int i = 0; i < 5; ++i) {
+    (void)r.i32();
+  }
+  r.expect("elim_throttled");
+  const uint64_t n = r.u64();
+  EXPECT_TRUE(r.ok());
+  return n;
+}
+
+TEST(Snapshot, RestoreWithLiveThrottlesReproducesReportAndSeries) {
+  // Cut while the eliminator holds throttles (release extension on, so
+  // the restored pass must merge throttled nodes back into its screen).
+  // The hot-node set, pressure array and metrics ledger are derived state:
+  // never serialized, rebuilt on load. So the restored twin must finish
+  // with the uninterrupted run's report and series bytes, and a snapshot
+  // taken right after the restore must equal the one it came from.
+  auto trace_cfg = sim::standard_week_trace(41);
+  trace_cfg.duration_s = 6.0 * 3600.0;
+  trace_cfg.cpu_jobs = 160;
+  trace_cfg.gpu_jobs = 40;
+  trace_cfg.heavy_bw_cpu_fraction = 0.4;
+  const auto trace = workload::TraceGenerator(trace_cfg).generate();
+  sim::ExperimentConfig config;
+  config.horizon_s = trace_cfg.duration_s;
+  config.drain_slack_s = 86400.0;
+  config.engine.cluster.node_count = 6;
+  config.engine.util_noise_stddev = 0.05;
+  config.coda.eliminator.release_when_calm = true;
+
+  OfflineSession uninterrupted =
+      start_session(sim::Policy::kCoda, config, trace);
+  OfflineSession cut = start_session(sim::Policy::kCoda, config, trace);
+  double cut_vt = 0.0;
+  while (live_throttles(*cut.scheduler.coda) == 0 &&
+         cut_vt < config.horizon_s) {
+    cut_vt += 300.0;
+    cut.engine->run_until(cut_vt);
+  }
+  ASSERT_GT(live_throttles(*cut.scheduler.coda), 0u)
+      << "trace never produced a live throttle";
+
+  SnapshotMeta meta;
+  meta.seq = 1;
+  meta.virtual_time = cut.engine->sim().now();
+  meta.dispatched = cut.engine->sim().dispatched();
+  auto blob = capture_snapshot(meta, "offline", *cut.engine,
+                               *cut.scheduler.scheduler);
+  ASSERT_TRUE(blob.ok()) << blob.error().message;
+  auto parsed = parse_snapshot(*blob);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  auto restored =
+      restore_session(*parsed, sim::Policy::kCoda, config, trace);
+  ASSERT_TRUE(restored.ok()) << restored.error().message;
+  EXPECT_EQ(live_throttles(*restored->scheduler.coda),
+            live_throttles(*cut.scheduler.coda));
+
+  auto again = capture_snapshot(meta, "offline", *restored->engine,
+                                *restored->scheduler.scheduler);
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  EXPECT_EQ(*again, *blob);
+
+  const std::string want = finish_and_report(
+      sim::Policy::kCoda, config, trace.size(), uninterrupted.scheduler,
+      *uninterrupted.engine);
+  const std::string got = finish_and_report(
+      sim::Policy::kCoda, config, trace.size(), restored->scheduler,
+      *restored->engine);
+  EXPECT_EQ(got, want) << "cut_vt " << cut_vt;
+  const auto& want_series = uninterrupted.engine->metrics().all_series();
+  const auto& got_series = restored->engine->metrics().all_series();
+  ASSERT_EQ(got_series.size(), want_series.size());
+  for (const auto& [name, series] : want_series) {
+    const auto it = got_series.find(name);
+    ASSERT_NE(it, got_series.end()) << name;
+    const auto& a = series.points();
+    const auto& b = it->second.points();
+    ASSERT_EQ(b.size(), a.size()) << name;
+    EXPECT_EQ(std::memcmp(b.data(), a.data(), a.size() * sizeof(a[0])), 0)
+        << name;
+  }
+  EXPECT_GT(uninterrupted.scheduler.coda->eliminator_stats().releases, 0);
 }
 
 TEST(Snapshot, RestoreRejectsUnknownJobIds) {
