@@ -11,8 +11,15 @@
 #
 # Backend: `perf record`/`perf report` when perf is on PATH and allowed to
 # sample; otherwise gprof (-pg instrumentation, serial engine only — gprof
-# samples the main thread, so CODA_ENGINE_THREADS is pinned to 1 to keep
-# the profile honest).
+# samples the main thread, so CODA_ENGINE_THREADS and CODA_JOBS are pinned
+# to 1 to keep the profile honest).
+#
+# gprof only histograms the program's own text: time spent in shared
+# libraries (libc's printf family, memmove, malloc) and in the kernel is
+# never attributed to any row. In gprof mode each bench therefore also
+# prints its wall time, the total sampled self time, and the gap between
+# the two — the unsampled libc/kernel time a flat profile hides (it also
+# holds -pg's own mcount overhead, which lives in libc).
 #
 # Environment:
 #   CODA_FAST=0   profile the full-size benches instead of the smoke traces
@@ -85,9 +92,24 @@ for b in "${BENCHES[@]}"; do
   else
     # gprof writes gmon.out into the CWD of the profiled process.
     bin_abs=$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")
-    (cd "$workdir" && CODA_ENGINE_THREADS=1 "$bin_abs" > /dev/null 2>&1)
+    start_ns=$(date +%s%N)
+    (cd "$workdir" && CODA_ENGINE_THREADS=1 CODA_JOBS=1 "$bin_abs" \
+        > /dev/null 2>&1)
+    end_ns=$(date +%s%N)
     gprof -b -p "$bin_abs" "$workdir/gmon.out" > "$report"
     head -n "$((TOP + 5))" "$report"
     rm -f "$workdir/gmon.out"
+    # Flat-profile rows start "%time cumulative self ..."; sum the self
+    # column.
+    awk -v wall_ns="$((end_ns - start_ns))" '
+      $1 ~ /^[0-9.]+$/ && $2 ~ /^[0-9.]+$/ && $3 ~ /^[0-9.]+$/ { self += $3 }
+      END {
+        wall = wall_ns / 1e9
+        gap = wall - self
+        pct = wall > 0 ? 100 * gap / wall : 0
+        printf "wall %.2f s | gprof sampled self time %.2f s | ", wall, self
+        printf "gap %.2f s (%.0f%% of wall): ", gap, pct
+        printf "libc/kernel time gprof does not see\n"
+      }' "$report"
   fi
 done

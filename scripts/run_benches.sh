@@ -142,9 +142,12 @@ ALLOCS_PER_EVENT="${ALLOCS_PER_EVENT:-0}"
 # One-experiment scalability: the 10k-node, 4-thread events/sec headline
 # (plus speedups, the index-vs-scan gain, and indexed placement ops/s) from
 # bench_scale's CODA_ENGINE_THREADS x placement-index sweep; cache off — it
-# drives live engines. Fast mode to keep the suite's wall-clock sane; the
-# full sweep (8 threads, day-long traces) stays a manual run.
-SCALE_JSON_LINE=$(CODA_NO_CACHE=1 CODA_FAST=1 "$BUILD_DIR/bench/bench_scale" \
+# drives live engines. Always fast mode (whatever CODA_FAST says for the
+# rest of the suite) to keep the suite's wall-clock sane, and labelled so in
+# the JSON as scale_fast_mode; the full sweep (8 threads, day-long traces)
+# stays a manual run.
+SCALE_FAST=1
+SCALE_JSON_LINE=$(CODA_NO_CACHE=1 CODA_FAST=$SCALE_FAST "$BUILD_DIR/bench/bench_scale" \
   | awk '/^BENCH_SCALE_JSON/ {sub(/^BENCH_SCALE_JSON /, ""); print}')
 scale_field() {  # scale_field <field>
   echo "$SCALE_JSON_LINE" | awk -v f="$1" '{
@@ -221,6 +224,7 @@ SERVE_CMDS_PER_SEC="${SERVE_CMDS_PER_SEC:-0}"
   echo "  \"events_per_sec\": $EVENTS_PER_SEC,"
   echo "  \"allocs_per_event\": $ALLOCS_PER_EVENT,"
   echo "  \"events_per_sec_scale\": $EVENTS_PER_SEC_SCALE,"
+  echo "  \"scale_fast_mode\": \"$SCALE_FAST\","
   echo "  \"scale_speedup_4t_2k\": $SCALE_SPEEDUP_4T,"
   echo "  \"scale_speedup_4t_10k\": $SCALE_SPEEDUP_4T_10K,"
   echo "  \"scale_index_gain_10k\": $SCALE_INDEX_GAIN_10K,"

@@ -177,14 +177,16 @@ util::Result<sim::Policy> policy_from_string(const std::string& name) {
 
 // ---- config.* wire encoding, one overload pair per member type ----
 
-std::string format_value(double v) { return util::strfmt("%a", v); }
-std::string format_value(int v) { return util::strfmt("%d", v); }
-std::string format_value(bool v) { return v ? "1" : "0"; }
-std::string format_value(uint64_t v) {
-  return util::strfmt("%llu", static_cast<unsigned long long>(v));
+void append_value(std::string* out, double v) {
+  util::append_hexfloat(out, v);
 }
-std::string format_value(core::SearchMode v) {
-  return format_value(static_cast<int>(v));
+void append_value(std::string* out, int v) { util::append_decimal(out, v); }
+void append_value(std::string* out, bool v) { out->push_back(v ? '1' : '0'); }
+void append_value(std::string* out, uint64_t v) {
+  util::append_decimal(out, v);
+}
+void append_value(std::string* out, core::SearchMode v) {
+  append_value(out, static_cast<int>(v));
 }
 
 util::Status assign_value(const std::string& key, const std::string& s,
@@ -310,22 +312,25 @@ std::string serialize_session_header(const SessionSpec& session) {
   std::string header;
   header += util::strfmt("%s %s\n", kMagic, kVersionV2);
   header += util::strfmt("policy %s\n", sim::to_string(session.policy));
-  header += util::strfmt("nodes %d\n", eng.cluster.node_count);
-  header += util::strfmt("metrics_period %a\n", eng.metrics_period_s);
-  header += util::strfmt("frag_min_cpus %d\n", eng.frag_min_cpus);
-  header += util::strfmt("noise_stddev %a\n", eng.util_noise_stddev);
-  header += util::strfmt("noise_seed %llu\n",
-                         static_cast<unsigned long long>(eng.noise_seed));
-  header += util::strfmt("horizon %a\n", session.config.horizon_s);
-  header += util::strfmt("drain_slack %a\n", session.config.drain_slack_s);
-  header += util::strfmt("speedup %a\n", session.speedup);
-#define CODA_WRITE_FIELD(wire_key, member)                              \
-  header += wire_key " " +                                              \
-            format_value(session.config.member) + "\n";
+  const auto field = [&header](const char* key, auto value) {
+    header += key;
+    header += ' ';
+    append_value(&header, value);
+    header += '\n';
+  };
+  field("nodes", eng.cluster.node_count);
+  field("metrics_period", eng.metrics_period_s);
+  field("frag_min_cpus", eng.frag_min_cpus);
+  field("noise_stddev", eng.util_noise_stddev);
+  field("noise_seed", eng.noise_seed);
+  field("horizon", session.config.horizon_s);
+  field("drain_slack", session.config.drain_slack_s);
+  field("speedup", session.speedup);
+#define CODA_WRITE_FIELD(wire_key, member) \
+  field(wire_key, session.config.member);
   CODA_JOURNAL_V2_FIELDS(CODA_WRITE_FIELD)
 #undef CODA_WRITE_FIELD
-  header += util::strfmt("base_trace_bytes %zu\n",
-                         session.base_trace_csv.size());
+  field("base_trace_bytes", uint64_t{session.base_trace_csv.size()});
   header += session.base_trace_csv;
   return header;
 }
@@ -360,9 +365,14 @@ util::Result<JournalWriter> JournalWriter::open_append(
 
 std::string format_submit_entry(double virtual_time, uint64_t job_id,
                                 const std::string& csv_row) {
-  return util::strfmt("S %a %llu ", virtual_time,
-                      static_cast<unsigned long long>(job_id)) +
-         csv_row + "\n";
+  std::string line = "S ";
+  util::append_hexfloat(&line, virtual_time);
+  line += ' ';
+  util::append_decimal(&line, job_id);
+  line += ' ';
+  line += csv_row;
+  line += '\n';
+  return line;
 }
 
 util::Status JournalWriter::append_submit(double virtual_time,

@@ -258,6 +258,14 @@ util::Status ClusterEngine::load_state(
     job.ckpt_busy_core_s = r->f64();
     job.ckpt_busy_gpu_s = r->f64();
     const uint64_t np = r->u64();
+    // A placement spans distinct nodes, so a larger count is corrupt input
+    // (and must not reach reserve()).
+    if (r->ok() && np > cluster_.node_count()) {
+      r->fail("running job " + std::to_string(id) + " spans " +
+              std::to_string(np) + " nodes of " +
+              std::to_string(cluster_.node_count()));
+      break;
+    }
     job.placement.nodes.reserve(np);
     job.nodes.reserve(np);
     for (uint64_t j = 0; j < np && r->ok(); ++j) {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 
+#include "util/assert.h"
 #include "util/csv.h"
 #include "util/strings.h"
 
@@ -113,19 +113,20 @@ namespace {
 
 constexpr const char* kMagic = "CODA_REPORT";
 
-// Append-only text builder: snprintf into a stack buffer, no temporary
-// std::string per token (a week-long report serializes ~1M tokens).
+// Append-only text builder over util's printf-exact number writer: no
+// format-string parsing and no temporary std::string per token (a month
+// report serializes ~5M tokens).
 class Writer {
  public:
   explicit Writer(std::string* out) : out_(out) {}
 
   void word(const char* s) { sep(); out_->append(s); }
   void str(const std::string& s) { sep(); out_->append(s); }
-  void u64(uint64_t v) { fmt("%llu", static_cast<unsigned long long>(v)); }
-  void i(int v) { fmt("%d", v); }
-  void zu(size_t v) { fmt("%zu", v); }
+  void u64(uint64_t v) { sep(); util::append_decimal(out_, v); }
+  void i(int v) { sep(); util::append_decimal(out_, v); }
+  void zu(size_t v) { sep(); util::append_decimal(out_, v); }
   // Hexfloat: exact binary round trip through strtod.
-  void d(double v) { fmt("%a", v); }
+  void d(double v) { sep(); util::append_hexfloat(out_, v); }
   void nl() {
     out_->push_back('\n');
     line_start_ = true;
@@ -137,13 +138,6 @@ class Writer {
       out_->push_back(' ');
     }
     line_start_ = false;
-  }
-  template <typename... Args>
-  void fmt(const char* f, Args... args) {
-    sep();
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), f, args...);
-    out_->append(buf);
   }
 
   std::string* out_;
@@ -204,9 +198,22 @@ class Cursor {
     return v;
   }
 
-  uint64_t u64() { return static_cast<uint64_t>(ll()); }
+  // Full unsigned range (strtoll would clamp ids >= 2^63 to LLONG_MAX);
+  // a sign is corrupt input, so a negative count cannot wrap to a huge one.
+  uint64_t u64() {
+    skip_ws();
+    char* next = nullptr;
+    const unsigned long long v =
+        p_ < end_ && *p_ == '-' ? 0 : std::strtoull(p_, &next, 10);
+    if (next == nullptr || next == p_) {
+      failed_ = true;
+      return 0;
+    }
+    p_ = next;
+    return v;
+  }
   int i() { return static_cast<int>(ll()); }
-  size_t zu() { return static_cast<size_t>(ll()); }
+  size_t zu() { return static_cast<size_t>(u64()); }
   bool b() { return ll() != 0; }
 
  private:
@@ -220,6 +227,11 @@ class Cursor {
   const char* end_;
   bool failed_ = false;
 };
+
+// Counts come from the input, so a reserve trusts at most this many
+// elements up front; a larger (or corrupt) count grows the vector as the
+// elements actually parse, and a truncated input fails before it is huge.
+constexpr size_t kMaxReserve = size_t{1} << 20;
 
 void write_series(Writer& w, const char* name,
                   const util::TimeSeries& series) {
@@ -238,7 +250,7 @@ bool read_series(Cursor& c, const char* name, util::TimeSeries* out) {
     return false;
   }
   const size_t n = c.zu();
-  out->reserve(std::min<size_t>(n, 1u << 20));
+  out->reserve(std::min(n, kMaxReserve));
   for (size_t i = 0; i < n; ++i) {
     const double t = c.d();
     const double v = c.d();
@@ -268,7 +280,7 @@ bool read_doubles(Cursor& c, const char* name, std::vector<double>* out) {
     return false;
   }
   const size_t n = c.zu();
-  out->reserve(std::min<size_t>(n, 1u << 20));
+  out->reserve(std::min(n, kMaxReserve));
   for (size_t i = 0; i < n && !c.failed(); ++i) {
     out->push_back(c.d());
   }
@@ -334,12 +346,39 @@ util::Error parse_error(const std::string& what) {
                      "report deserialization failed: " + what};
 }
 
+// Upper bound on serialize_report's output, so the buffer is reserved once
+// and never regrows (a regrowth copy holds the month report twice). Every
+// token is charged its widest form plus a separator, every line a leading
+// word and a newline; reserved pages that are never written never become
+// resident.
+size_t serialized_size_bound(const ExperimentReport& report) {
+  constexpr size_t kD = 25;     // " -0x1.fffffffffffffp+1023"
+  constexpr size_t kI = 12;     // " -2147483648"
+  constexpr size_t kU = 21;     // " 18446744073709551615"
+  constexpr size_t kLine = 32;  // leading word(s) and newline
+  // Header, counts, scalars, eliminator, and the section header lines.
+  size_t n = 16 * kLine + report.scheduler.size() + 11 * kI + 13 * kU +
+             17 * kD;
+  n += kD * (report.gpu_queue_times.size() + report.cpu_queue_times.size());
+  for (const auto& [tenant, times] : report.queue_by_tenant) {
+    n += kLine + 2 * kU + kD * times.size();
+  }
+  n += report.records.size() * (1 + 2 * kU + 18 * kI + 17 * kD);
+  n += report.tuning_outcomes.size() * (1 + kU + 5 * kI);
+  for (const util::TimeSeries* series :
+       {&report.gpu_active_series, &report.gpu_util_series,
+        &report.cpu_active_series, &report.cpu_util_series}) {
+    n += 2 * kD * series->size();
+  }
+  return n;
+}
+
 }  // namespace
 
 std::string serialize_report(const ExperimentReport& report) {
   std::string out;
-  // Rough pre-size: ~64 tokens per record line dominates.
-  out.reserve(256 + report.records.size() * 320);
+  const size_t bound = serialized_size_bound(report);
+  out.reserve(bound);
   Writer w(&out);
 
   w.word(kMagic);
@@ -443,6 +482,7 @@ std::string serialize_report(const ExperimentReport& report) {
   write_series(w, "cpu_util", report.cpu_util_series);
   w.word("end");
   w.nl();
+  CODA_ASSERT(out.size() <= bound);
   return out;
 }
 
@@ -517,7 +557,7 @@ util::Result<ExperimentReport> deserialize_report(const std::string& text) {
     const auto tenant = static_cast<cluster::TenantId>(c.u64());
     const size_t n = c.zu();
     auto& times = report.queue_by_tenant[tenant];
-    times.reserve(n);
+    times.reserve(std::min(n, kMaxReserve));
     for (size_t j = 0; j < n && !c.failed(); ++j) {
       times.push_back(c.d());
     }
@@ -527,7 +567,7 @@ util::Result<ExperimentReport> deserialize_report(const std::string& text) {
     return parse_error("missing records");
   }
   const size_t n_records = c.zu();
-  report.records.reserve(n_records);
+  report.records.reserve(std::min(n_records, kMaxReserve));
   for (size_t i = 0; i < n_records && !c.failed(); ++i) {
     JobRecord record;
     record.spec = read_spec(c);
@@ -552,7 +592,7 @@ util::Result<ExperimentReport> deserialize_report(const std::string& text) {
     return parse_error("missing tuning outcomes");
   }
   const size_t n_outcomes = c.zu();
-  report.tuning_outcomes.reserve(n_outcomes);
+  report.tuning_outcomes.reserve(std::min(n_outcomes, kMaxReserve));
   for (size_t i = 0; i < n_outcomes && !c.failed(); ++i) {
     core::CodaScheduler::TuningOutcome outcome;
     outcome.job = c.u64();

@@ -1,8 +1,9 @@
 #include "state/serde.h"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
+
+#include "util/strings.h"
 
 namespace coda::state {
 
@@ -98,22 +99,18 @@ bool parse_i64(std::string_view token, int64_t* out) {
 }  // namespace
 
 void Writer::put_f64(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), " %a", v);
-  out_.append(buf);
+  out_.push_back(' ');
+  util::append_hexfloat(&out_, v);
 }
 
 void Writer::put_u64(uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), " %llu",
-                static_cast<unsigned long long>(v));
-  out_.append(buf);
+  out_.push_back(' ');
+  util::append_decimal(&out_, v);
 }
 
 void Writer::put_i64(int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), " %lld", static_cast<long long>(v));
-  out_.append(buf);
+  out_.push_back(' ');
+  util::append_decimal(&out_, v);
 }
 
 void Writer::put_token(std::string_view token) {

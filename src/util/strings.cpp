@@ -1,7 +1,9 @@
 #include "util/strings.h"
 
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <cmath>
 
 #include "util/assert.h"
@@ -82,6 +84,45 @@ std::string format_duration(double seconds) {
 
 std::string format_percent(double fraction) {
   return strfmt("%.1f%%", fraction * 100.0);
+}
+
+void append_hexfloat(std::string* out, double v) {
+  // Written from the IEEE-754 fields in glibc's "%a" layout: normals as
+  // 0x1.<hex>p<exp>, subnormals as 0x0.<hex>p-1022, trailing zero digits
+  // dropped. Not std::to_chars(hex): it lives in the shared libstdc++, and
+  // some releases of that write subnormals normalized ("1p-1074"), so its
+  // bytes would depend on the library loaded at run time.
+  constexpr uint64_t kMantissaMask = (uint64_t{1} << 52) - 1;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  uint64_t mantissa = bits & kMantissaMask;
+
+  char buf[32];  // "-0x1.fffffffffffffp+1023" is 24 bytes
+  char* p = buf;
+  if (bits >> 63) {
+    *p++ = '-';
+  }
+  if (biased == 0x7ff) {
+    std::memcpy(p, mantissa == 0 ? "inf" : "nan", 3);
+    out->append(buf, p + 3);
+    return;
+  }
+  *p++ = '0';
+  *p++ = 'x';
+  *p++ = biased == 0 ? '0' : '1';
+  int exponent = biased == 0 ? (mantissa == 0 ? 0 : -1022) : biased - 1023;
+  if (mantissa != 0) {
+    *p++ = '.';
+    for (; mantissa != 0; mantissa = (mantissa << 4) & kMantissaMask) {
+      *p++ = "0123456789abcdef"[mantissa >> 48];  // top hex digit
+    }
+  }
+  *p++ = 'p';
+  *p++ = exponent < 0 ? '-' : '+';
+  exponent = exponent < 0 ? -exponent : exponent;
+  p = std::to_chars(p, buf + sizeof(buf), exponent).ptr;
+  out->append(buf, p);
 }
 
 }  // namespace coda::util

@@ -2,7 +2,9 @@
 // use these printf-style wrappers instead).
 #pragma once
 
+#include <charconv>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace coda::util {
@@ -26,5 +28,19 @@ std::string format_duration(double seconds);
 
 // Renders a fraction as a percentage with one decimal ("62.1%").
 std::string format_percent(double fraction);
+
+// The number writer behind every machine-read text format (reports,
+// snapshots, journals). Both append exactly the bytes printf would write —
+// "%a" for doubles, "%d"/"%lld"/"%llu"/"%zu" for integers — so the formats
+// are unchanged, but without printf's format-string parsing and locale
+// machinery. tests/util_test.cpp holds the printf oracle.
+void append_hexfloat(std::string* out, double v);
+
+template <typename Int>
+void append_decimal(std::string* out, Int v) {
+  static_assert(std::is_integral_v<Int> && !std::is_same_v<Int, bool>);
+  char buf[24];  // 20 digits of UINT64_MAX, or a sign and 19 digits
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
 
 }  // namespace coda::util

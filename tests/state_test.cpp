@@ -485,5 +485,51 @@ TEST(Snapshot, RestoreRejectsUnknownJobIds) {
   EXPECT_FALSE(restored.ok());
 }
 
+TEST(Snapshot, RestoreRejectsPlacementCountsBeyondTheCluster) {
+  // A running job's placement count sizes reserves before its rows parse.
+  // A count larger than the cluster is corrupt input: restore must report
+  // a parse error, not throw length_error/bad_alloc or allocate for it.
+  auto trace_cfg = sim::standard_week_trace(3);
+  trace_cfg.duration_s = 3600.0;
+  trace_cfg.cpu_jobs = 10;
+  trace_cfg.gpu_jobs = 5;
+  const auto trace = workload::TraceGenerator(trace_cfg).generate();
+  sim::ExperimentConfig config;
+  config.horizon_s = trace_cfg.duration_s;
+  config.engine.cluster.node_count = 4;
+
+  OfflineSession session = start_session(sim::Policy::kFifo, config, trace);
+  session.engine->run_until(600.0);
+  ASSERT_GT(session.engine->running_jobs(), 0u);
+
+  SnapshotMeta meta;
+  meta.seq = 1;
+  meta.virtual_time = session.engine->sim().now();
+  meta.dispatched = session.engine->sim().dispatched();
+  auto blob = capture_snapshot(meta, "", *session.engine,
+                               *session.scheduler.scheduler);
+  ASSERT_TRUE(blob.ok()) << blob.error().message;
+
+  for (const char* count : {"5", "99999999999999"}) {
+    auto parsed = parse_snapshot(*blob);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    // The placement count is the last token of the first "run" line.
+    std::string& body = parsed->body;
+    const size_t run = body.find("\nrun ");
+    ASSERT_NE(run, std::string::npos);
+    const size_t eol = body.find('\n', run + 1);
+    const size_t last = body.rfind(' ', eol);
+    body.replace(last + 1, eol - last - 1, count);
+
+    util::Result<RestoredSession> restored =
+        util::Error{util::ErrorCode::kFailedPrecondition, "not run"};
+    ASSERT_NO_THROW(restored = restore_session(*parsed, sim::Policy::kFifo,
+                                               config, trace))
+        << count;
+    ASSERT_FALSE(restored.ok()) << count;
+    EXPECT_EQ(restored.error().code, util::ErrorCode::kParseError) << count;
+  }
+}
+
 }  // namespace
 }  // namespace coda::state

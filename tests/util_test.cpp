@@ -2,7 +2,14 @@
 // CSV and Result.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
 
 #include "util/csv.h"
@@ -285,6 +292,113 @@ TEST(Strings, FormatDuration) {
 
 TEST(Strings, FormatPercent) {
   EXPECT_EQ(format_percent(0.621), "62.1%");
+}
+
+// The printf forms the number writer replaced are its oracle: reports,
+// snapshots and journals were written with "%a" and "%d"/"%lld"/"%llu", and
+// their bytes must not change.
+std::string printf_a(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+template <typename Int>
+std::string printf_decimal(Int v) {
+  char buf[32];
+  if constexpr (std::is_signed_v<Int>) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%llu",
+                  static_cast<unsigned long long>(v));
+  }
+  return buf;
+}
+
+std::string hexfloat(double v) {
+  std::string out;
+  append_hexfloat(&out, v);
+  return out;
+}
+
+template <typename Int>
+std::string decimal(Int v) {
+  std::string out;
+  append_decimal(&out, v);
+  return out;
+}
+
+double from_bits(uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+TEST(Strings, AppendHexfloatMatchesPrintfOnSpecialValues) {
+  using L = std::numeric_limits<double>;
+  for (double v : {0.0, -0.0, L::denorm_min(), -L::denorm_min(), DBL_MIN,
+                   -DBL_MIN, std::nextafter(DBL_MIN, 0.0), DBL_MAX, -DBL_MAX,
+                   L::infinity(), -L::infinity(), L::quiet_NaN(),
+                   -L::quiet_NaN(), L::signaling_NaN(), 1.0, -1.0, 0.5, 0.1,
+                   1.0 / 3.0, 604800.0, -1.0e-300, DBL_EPSILON}) {
+    EXPECT_EQ(hexfloat(v), printf_a(v)) << printf_a(v);
+  }
+  // Appends, never overwrites.
+  std::string out = "x ";
+  append_hexfloat(&out, 1.0);
+  EXPECT_EQ(out, "x 0x1p+0");
+}
+
+TEST(Strings, AppendHexfloatMatchesPrintfOnRandomBitPatterns) {
+  std::mt19937_64 gen(20201017);
+  size_t mismatches = 0;
+  const auto check = [&](uint64_t bits) {
+    const double v = from_bits(bits);
+    const std::string got = hexfloat(v);
+    const std::string want = printf_a(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits " << bits << ": got " << got << ", want "
+                    << want;
+    }
+  };
+  constexpr uint64_t kMantissa = (uint64_t{1} << 52) - 1;
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const uint64_t bits = gen();
+    check(bits);
+    // Subnormals (exponent field zero), and short mantissas whose trailing
+    // zero hex digits "%a" drops.
+    if (i % 4 == 0) {
+      check(bits & (kSign | kMantissa));
+      check(bits & ~((uint64_t{1} << (bits % 53)) - 1));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Strings, AppendDecimalMatchesPrintf) {
+  EXPECT_EQ(decimal(INT_MIN), printf_decimal(INT_MIN));
+  EXPECT_EQ(decimal(INT_MAX), printf_decimal(INT_MAX));
+  EXPECT_EQ(decimal(0), "0");
+  EXPECT_EQ(decimal(INT64_MIN), printf_decimal(INT64_MIN));
+  EXPECT_EQ(decimal(UINT64_MAX), printf_decimal(UINT64_MAX));
+  EXPECT_EQ(decimal(size_t{0}), "0");
+  EXPECT_EQ(decimal(uint32_t{UINT32_MAX}), "4294967295");
+
+  std::mt19937_64 gen(20201018);
+  size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const uint64_t bits = gen() >> (gen() % 64);  // every digit count
+    const bool ok = decimal(bits) == printf_decimal(bits) &&
+                    decimal(static_cast<int64_t>(bits)) ==
+                        printf_decimal(static_cast<int64_t>(bits)) &&
+                    decimal(static_cast<int>(bits)) ==
+                        printf_decimal(static_cast<int>(bits));
+    if (!ok && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits " << bits;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ---------------------------------------------------------------------- csv
