@@ -10,9 +10,8 @@
 #   --top N      rows per ranked table (default: 25)
 #
 # Backend: `perf record`/`perf report` when perf is on PATH and allowed to
-# sample; otherwise gprof (-pg instrumentation, serial engine only — gprof
-# samples the main thread, so CODA_ENGINE_THREADS and CODA_JOBS are pinned
-# to 1 to keep the profile honest).
+# sample; otherwise gprof (-pg instrumentation — gprof samples the main
+# thread, so CODA_JOBS is pinned to 1 to keep the profile honest).
 #
 # gprof only histograms the program's own text: time spent in shared
 # libraries (libc's printf family, memmove, malloc) and in the kernel is
@@ -93,7 +92,7 @@ for b in "${BENCHES[@]}"; do
     # gprof writes gmon.out into the CWD of the profiled process.
     bin_abs=$(cd "$(dirname "$bin")" && pwd)/$(basename "$bin")
     start_ns=$(date +%s%N)
-    (cd "$workdir" && CODA_ENGINE_THREADS=1 CODA_JOBS=1 "$bin_abs" \
+    (cd "$workdir" && CODA_JOBS=1 "$bin_abs" \
         > /dev/null 2>&1)
     end_ns=$(date +%s%N)
     gprof -b -p "$bin_abs" "$workdir/gmon.out" > "$report"

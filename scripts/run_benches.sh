@@ -139,13 +139,12 @@ EVENTS_PER_SEC=$(micro_field events_per_sec); EVENTS_PER_SEC="${EVENTS_PER_SEC:-
 ALLOCS_PER_EVENT=$(micro_field allocs_per_event)
 ALLOCS_PER_EVENT="${ALLOCS_PER_EVENT:-0}"
 
-# One-experiment scalability: the 10k-node, 4-thread events/sec headline
-# (plus speedups, the index-vs-scan gain, and indexed placement ops/s) from
-# bench_scale's CODA_ENGINE_THREADS x placement-index sweep; cache off — it
-# drives live engines. Always fast mode (whatever CODA_FAST says for the
-# rest of the suite) to keep the suite's wall-clock sane, and labelled so in
-# the JSON as scale_fast_mode; the full sweep (8 threads, day-long traces)
-# stays a manual run.
+# One-experiment scalability: the 10k-node indexed events/sec headline (plus
+# the index-vs-scan gain and indexed placement ops/s) from bench_scale's
+# serial scan-vs-index runs; cache off — it drives live engines. Always fast
+# mode (whatever CODA_FAST says for the rest of the suite) to keep the
+# suite's wall-clock sane, and labelled so in the JSON as scale_fast_mode;
+# the full profile (day-long traces) stays a manual run.
 SCALE_FAST=1
 SCALE_JSON_LINE=$(CODA_NO_CACHE=1 CODA_FAST=$SCALE_FAST "$BUILD_DIR/bench/bench_scale" \
   | awk '/^BENCH_SCALE_JSON/ {sub(/^BENCH_SCALE_JSON /, ""); print}')
@@ -158,9 +157,6 @@ scale_field() {  # scale_field <field>
 }
 EVENTS_PER_SEC_SCALE=$(scale_field events_per_sec_scale)
 EVENTS_PER_SEC_SCALE="${EVENTS_PER_SEC_SCALE:-0}"
-SCALE_SPEEDUP_4T=$(scale_field speedup_4t_2k); SCALE_SPEEDUP_4T="${SCALE_SPEEDUP_4T:-0}"
-SCALE_SPEEDUP_4T_10K=$(scale_field speedup_4t_10k)
-SCALE_SPEEDUP_4T_10K="${SCALE_SPEEDUP_4T_10K:-0}"
 SCALE_INDEX_GAIN_10K=$(scale_field index_gain_10k)
 SCALE_INDEX_GAIN_10K="${SCALE_INDEX_GAIN_10K:-0}"
 PLACEMENT_OPS_PER_SEC=$(scale_field placement_ops_per_sec)
@@ -225,8 +221,6 @@ SERVE_CMDS_PER_SEC="${SERVE_CMDS_PER_SEC:-0}"
   echo "  \"allocs_per_event\": $ALLOCS_PER_EVENT,"
   echo "  \"events_per_sec_scale\": $EVENTS_PER_SEC_SCALE,"
   echo "  \"scale_fast_mode\": \"$SCALE_FAST\","
-  echo "  \"scale_speedup_4t_2k\": $SCALE_SPEEDUP_4T,"
-  echo "  \"scale_speedup_4t_10k\": $SCALE_SPEEDUP_4T_10K,"
   echo "  \"scale_index_gain_10k\": $SCALE_INDEX_GAIN_10K,"
   echo "  \"placement_ops_per_sec\": $PLACEMENT_OPS_PER_SEC,"
   echo "  \"scale_hardware_concurrency\": $SCALE_HW,"
@@ -252,7 +246,7 @@ echo ""
 echo "cold total: $(awk "BEGIN{print $COLD_MS/1000}") s"
 echo "warm total: $(awk "BEGIN{print $WARM_MS/1000}") s"
 echo "engine micro: $EVENTS_PER_SEC events/s, $ALLOCS_PER_EVENT allocs/event"
-echo "scale bench: $EVENTS_PER_SEC_SCALE events/s (10k nodes, 4 threads, index ${SCALE_INDEX_GAIN_10K}x vs scan, ${PLACEMENT_OPS_PER_SEC} placement ops/s, ${SCALE_HW} CPU(s))"
+echo "scale bench: $EVENTS_PER_SEC_SCALE events/s (10k nodes, index ${SCALE_INDEX_GAIN_10K}x vs scan, ${PLACEMENT_OPS_PER_SEC} placement ops/s, ${SCALE_HW} CPU(s))"
 echo "serve bench: $SERVE_CMDS_PER_SEC cmds/s (8 shards, pipeline 16)"
 echo "snapshot: ${SNAPSHOT_MS} ms capture, ${RESTORE_MS} ms restore (${RESTORE_SPEEDUP}x vs replay)"
 echo "wrote $OUT (microbench details: $MICRO_JSON)"

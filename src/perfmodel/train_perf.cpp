@@ -11,15 +11,6 @@ namespace coda::perfmodel {
 
 namespace {
 
-// Utilization decay per core held beyond the saturation knee (Fig. 3: GPU
-// utilization "drops slightly" past the optimum — framework worker threads
-// beyond the pipeline's needs add scheduling noise).
-constexpr double kOverAllocDecayPerCore = 0.004;
-
-// The engine's contended-evaluation scans never exceed this core count (the
-// reference knee scan searched 1..64).
-constexpr int kKneeScanMax = 64;
-
 // Contention factors are continuous, but in practice the contention model
 // emits a small recurring set of values (1.0 exactly on every uncontended
 // node). The memo key keeps the EXACT factor bits; only the hash drops the
@@ -84,107 +75,10 @@ size_t TrainPerf::EvalKeyHash::operator()(const EvalKey& k) const {
   return static_cast<size_t>(h);
 }
 
-double TrainPerf::batch_ratio(ModelId id, const TrainConfig& cfg) const {
+double batch_ratio(ModelId id, const TrainConfig& cfg) {
   const ModelParams& p = model_params(id);
   const int bs = cfg.batch_size > 0 ? cfg.batch_size : p.default_batch;
   return static_cast<double>(bs) / p.default_batch;
-}
-
-// --------------------------------------------------------------- reference
-// The original unmemoized arithmetic. Every cached quantity below is
-// produced by these exact expressions (same operations, same order), which
-// is what makes the memoized path bit-identical; the equivalence suite
-// asserts it stays that way.
-
-double TrainPerf::ref_prep_time(ModelId id, const TrainConfig& cfg, int cores,
-                                const ContentionFactors& contention) const {
-  CODA_ASSERT(cores >= 1);
-  CODA_ASSERT(cfg.nodes >= 1 && cfg.gpus_per_node >= 1);
-  const ModelParams& p = model_params(id);
-  const double bs = batch_ratio(id, cfg);
-  // Parallelizable prep work on one node: one data pipeline per local GPU,
-  // with partially-shared decode/augmentation across GPUs (sub-linear
-  // per-model growth slope, Sec. IV-B2).
-  const double gpu_scale =
-      1.0 + p.multi_gpu_prep_slope * (cfg.gpus_per_node - 1);
-  double work = p.prep_work_core_s * std::pow(bs, p.prep_bs_exp) * gpu_scale;
-  if (cfg.nodes > 1) {
-    // Network-gated input pipeline: in multi-node runs the loader idles at
-    // global synchronization barriers, so the effective per-iteration CPU
-    // work observed is far smaller (Sec. IV-B2: measured multi-node CPU
-    // demand collapses to <= 2 cores).
-    work *= p.multi_node_prep_scale;
-  }
-  const int usable = std::min(cores, p.prep_parallel_limit);
-  const double t = p.prep_serial_s + work / usable;
-  return t * std::max(1.0, contention.prep_inflation);
-}
-
-double TrainPerf::ref_gpu_phase_time(
-    ModelId id, const TrainConfig& cfg,
-    const ContentionFactors& contention) const {
-  const ModelParams& p = model_params(id);
-  const double bs = batch_ratio(id, cfg);
-  double t = p.gpu_time_s * std::pow(bs, p.gpu_bs_exp);
-  if (cfg.nodes > 1) {
-    // Exposed gradient-synchronization cost over the 10 Gb/s interconnect
-    // (calibrated to the paper's 25-30% degradation vs 1N4G). Slower links
-    // expose proportionally more of the communication.
-    const double link_scale = 1.25 / std::max(cfg.net_gbps, 1e-3);
-    t *= 1.0 + (p.multi_node_slowdown - 1.0) * link_scale;
-  }
-  return t * std::max(1.0, contention.gpu_inflation);
-}
-
-double TrainPerf::ref_iter_time(ModelId id, const TrainConfig& cfg, int cores,
-                                const ContentionFactors& contention) const {
-  const ModelParams& p = model_params(id);
-  const double prep = ref_prep_time(id, cfg, cores, contention);
-  const double gpu = ref_gpu_phase_time(id, cfg, contention);
-  const double body = p.pipelined ? std::max(prep, gpu) : prep + gpu;
-  return body + p.overhead_s;
-}
-
-int TrainPerf::ref_saturation_cores(ModelId id, const TrainConfig& cfg,
-                                    const ContentionFactors& contention,
-                                    int max_cores) const {
-  const double gpu = ref_gpu_phase_time(id, cfg, contention);
-  for (int c = 1; c <= max_cores; ++c) {
-    if (ref_prep_time(id, cfg, c, contention) <= gpu) {
-      return c;
-    }
-  }
-  return max_cores;
-}
-
-double TrainPerf::ref_gpu_utilization(
-    ModelId id, const TrainConfig& cfg, int cores,
-    const ContentionFactors& contention) const {
-  const double gpu = ref_gpu_phase_time(id, cfg, contention);
-  const double iter = ref_iter_time(id, cfg, cores, contention);
-  const int knee =
-      ref_saturation_cores(id, cfg, contention, /*max_cores=*/kKneeScanMax);
-  const double decay =
-      1.0 - kOverAllocDecayPerCore * std::max(0, cores - knee);
-  // util_ceiling: even a perfectly-fed GPU tops out below 100% SM
-  // utilization (kernel efficiency differs per model, Fig. 3).
-  const double ceiling = model_params(id).util_ceiling;
-  return std::clamp(gpu / iter * decay * ceiling, 0.0, 1.0);
-}
-
-int TrainPerf::ref_optimal_cores(ModelId id, const TrainConfig& cfg,
-                                 int max_cores, double tolerance) const {
-  CODA_ASSERT(max_cores >= 1);
-  double best = 0.0;
-  for (int c = 1; c <= max_cores; ++c) {
-    best = std::max(best, ref_gpu_utilization(id, cfg, c, {}));
-  }
-  for (int c = 1; c <= max_cores; ++c) {
-    if (ref_gpu_utilization(id, cfg, c, {}) >= best * (1.0 - tolerance)) {
-      return c;
-    }
-  }
-  CODA_UNREACHABLE("optimal_cores: no core count reached best utilization");
 }
 
 // ------------------------------------------------------------- memoization
@@ -206,8 +100,11 @@ const TrainPerf::Invariants& TrainPerf::invariants(
     auto inv = std::make_unique<Invariants>();
     const ModelParams& p = model_params(id);
     const double bs = batch_ratio(id, cfg);
-    // Same expression chain as ref_prep_time / ref_gpu_phase_time so the
-    // cached values carry identical bits.
+    // Same expression chain as the reference prep and GPU-phase times
+    // (oracle::ReferencePerf) so the cached values carry identical bits.
+    // Prep work: one data pipeline per local GPU with partially-shared
+    // decode (Sec. IV-B2); multi-node loaders idle at sync barriers, so the
+    // effective per-iteration CPU work collapses.
     const double gpu_scale =
         1.0 + p.multi_gpu_prep_slope * (cfg.gpus_per_node - 1);
     double work = p.prep_work_core_s * std::pow(bs, p.prep_bs_exp) * gpu_scale;
@@ -215,6 +112,8 @@ const TrainPerf::Invariants& TrainPerf::invariants(
       work *= p.multi_node_prep_scale;
     }
     inv->prep_work = work;
+    // GPU phase: multi-node runs expose gradient sync over the 10 Gb/s
+    // link; slower links expose proportionally more of it.
     double gpu = p.gpu_time_s * std::pow(bs, p.gpu_bs_exp);
     if (cfg.nodes > 1) {
       const double link_scale = 1.25 / std::max(cfg.net_gbps, 1e-3);
@@ -296,9 +195,9 @@ const TrainPerf::EvalEntry& TrainPerf::evaluate(
   ++stats_.misses;
   const ModelParams& p = model_params(id);
   EvalEntry e;
-  // Bit-identical to ref_prep_time / ref_gpu_phase_time / ref_iter_time /
-  // ref_gpu_utilization, with the batch-power products replayed from the
-  // invariant table and the knee scan replaced by the closed form.
+  // Bit-identical to the reference prep/GPU-phase/iteration/utilization
+  // arithmetic, with the batch-power products replayed from the invariant
+  // table and the knee scan replaced by the closed form.
   const int usable = std::min(cores, p.prep_parallel_limit);
   const double t = p.prep_serial_s + inv.prep_work / usable;
   e.prep = t * std::max(1.0, contention.prep_inflation);
@@ -316,35 +215,23 @@ const TrainPerf::EvalEntry& TrainPerf::evaluate(
 
 double TrainPerf::prep_time(ModelId id, const TrainConfig& cfg, int cores,
                             const ContentionFactors& contention) const {
-  if (!memoize_) {
-    return ref_prep_time(id, cfg, cores, contention);
-  }
   return evaluate(id, cfg, cores, contention).prep;
 }
 
 double TrainPerf::gpu_phase_time(ModelId id, const TrainConfig& cfg,
                                  const ContentionFactors& contention) const {
-  if (!memoize_) {
-    return ref_gpu_phase_time(id, cfg, contention);
-  }
   const Invariants& inv = invariants(id, cfg);
   return inv.gpu_base * std::max(1.0, contention.gpu_inflation);
 }
 
 double TrainPerf::iter_time(ModelId id, const TrainConfig& cfg, int cores,
                             const ContentionFactors& contention) const {
-  if (!memoize_) {
-    return ref_iter_time(id, cfg, cores, contention);
-  }
   return evaluate(id, cfg, cores, contention).iter;
 }
 
 double TrainPerf::gpu_utilization(ModelId id, const TrainConfig& cfg,
                                   int cores,
                                   const ContentionFactors& contention) const {
-  if (!memoize_) {
-    return ref_gpu_utilization(id, cfg, cores, contention);
-  }
   return evaluate(id, cfg, cores, contention).util;
 }
 
@@ -367,15 +254,6 @@ double TrainPerf::mem_bw_demand_gbps(ModelId id, const TrainConfig& cfg,
   // Per-GPU peak demand at the optimal allocation, scaled by batch size
   // (Fig. 6) and by the achieved iteration rate: a core-starved job issues
   // iterations more slowly and therefore moves less data per second.
-  if (!memoize_) {
-    const ModelParams& p = model_params(id);
-    const double bs = batch_ratio(id, cfg);
-    const double per_gpu = p.mem_bw_gbps * std::pow(bs, p.mem_bs_exp);
-    const int opt = optimal_cores(id, cfg);
-    const double rate_scale =
-        iter_time(id, cfg, opt) / iter_time(id, cfg, cores);
-    return per_gpu * cfg.gpus_per_node * std::min(1.0, rate_scale);
-  }
   const Invariants& inv = invariants(id, cfg);
   if (inv.opt_cores < 0) {
     optimal_cores(id, cfg);  // fills opt_cores/iter_at_opt
@@ -387,15 +265,6 @@ double TrainPerf::mem_bw_demand_gbps(ModelId id, const TrainConfig& cfg,
 
 double TrainPerf::pcie_demand_gbps(ModelId id, const TrainConfig& cfg,
                                    int cores) const {
-  if (!memoize_) {
-    const ModelParams& p = model_params(id);
-    const double bs = batch_ratio(id, cfg);
-    const double per_gpu = p.pcie_gbps * std::pow(bs, p.mem_bs_exp);
-    const int opt = optimal_cores(id, cfg);
-    const double rate_scale =
-        iter_time(id, cfg, opt) / iter_time(id, cfg, cores);
-    return per_gpu * cfg.gpus_per_node * std::min(1.0, rate_scale);
-  }
   const Invariants& inv = invariants(id, cfg);
   if (inv.opt_cores < 0) {
     optimal_cores(id, cfg);
@@ -412,9 +281,6 @@ double TrainPerf::llc_demand_mb(ModelId id, const TrainConfig& cfg) const {
 int TrainPerf::optimal_cores(ModelId id, const TrainConfig& cfg,
                              int max_cores, double tolerance) const {
   CODA_ASSERT(max_cores >= 1);
-  if (!memoize_) {
-    return ref_optimal_cores(id, cfg, max_cores, tolerance);
-  }
   constexpr int kDefaultMaxCores = 28;
   constexpr double kDefaultTolerance = 0.01;
   const bool default_args =
@@ -438,13 +304,6 @@ int TrainPerf::optimal_cores(ModelId id, const TrainConfig& cfg,
     }
   }
   CODA_UNREACHABLE("optimal_cores: no core count reached best utilization");
-}
-
-void TrainPerf::set_memoize(bool on) {
-  memoize_ = on;
-  interned_.clear();
-  last_entry_ = nullptr;
-  stats_ = CacheStats{};
 }
 
 }  // namespace coda::perfmodel

@@ -19,12 +19,12 @@
 // small interned table of per-(model, TrainConfig) invariants (batch-ratio
 // powers, effective prep work, uncontended GPU phase, the uncontended knee
 // and optimum) and memoizes full evaluations on (cores, exact contention
-// factor bits). Memoized results are bit-for-bit identical to the reference
-// arithmetic — set_memoize(false) switches an instance to the original
-// unmemoized code path, and tests/perf_equivalence_test.cpp asserts equality
-// across the model zoo. An instance is NOT thread-safe (the caches mutate on
-// const evaluations); every engine/scheduler owns its own instance, which
-// matches how the parallel runner shards experiments across threads.
+// factor bits). Memoized results are bit-for-bit identical to the original
+// unmemoized arithmetic, which lives on as the reference model in
+// tests/oracle (oracle::ReferencePerf); tests/perf_equivalence_test.cpp
+// asserts equality across the model zoo. An instance is NOT thread-safe (the
+// caches mutate on const evaluations); every engine/scheduler owns its own
+// instance, which matches how the runner shards experiments across threads.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +61,18 @@ struct ContentionFactors {
   double prep_inflation = 1.0;  // multiplies the CPU prep stage (>= 1)
   double gpu_inflation = 1.0;   // multiplies the GPU phase (PCIe pressure)
 };
+
+// Model constants shared by the memoized model and its reference.
+//
+// Utilization decay per core held beyond the saturation knee (Fig. 3: GPU
+// utilization "drops slightly" past the optimum — framework worker threads
+// beyond the pipeline's needs add scheduling noise).
+inline constexpr double kOverAllocDecayPerCore = 0.004;
+// The contended-evaluation knee scan never exceeds this core count.
+inline constexpr int kKneeScanMax = 64;
+
+// Batch size over the model's default batch (1.0 for batch_size 0).
+double batch_ratio(ModelId id, const TrainConfig& cfg);
 
 class TrainPerf {
  public:
@@ -125,11 +137,6 @@ class TrainPerf {
   int optimal_cores(ModelId id, const TrainConfig& cfg, int max_cores = 28,
                     double tolerance = 0.01) const;
 
-  // Toggles memoization (on by default). Turning it off clears every cache
-  // and routes evaluations through the original unmemoized arithmetic; the
-  // equivalence suite uses this as the bit-exact reference.
-  void set_memoize(bool on);
-  bool memoize() const { return memoize_; }
   const CacheStats& cache_stats() const { return stats_; }
 
  private:
@@ -177,7 +184,7 @@ class TrainPerf {
   struct Invariants {
     // Effective parallelizable prep work (batch power x multi-GPU sharing x
     // multi-node collapse) and the uncontended GPU phase, both computed with
-    // the reference arithmetic so downstream expressions are bit-identical.
+    // the reference expression chain so downstream values are bit-identical.
     double prep_work = 0.0;
     double gpu_base = 0.0;
     double mem_per_gpu = 0.0;   // mem_bw_gbps x (BS/def)^mem_bs_exp
@@ -196,24 +203,6 @@ class TrainPerf {
                             const ContentionFactors& contention,
                             int max_cores) const;
 
-  // ---- reference (unmemoized) arithmetic: the original implementation ----
-  double ref_prep_time(ModelId id, const TrainConfig& cfg, int cores,
-                       const ContentionFactors& contention) const;
-  double ref_gpu_phase_time(ModelId id, const TrainConfig& cfg,
-                            const ContentionFactors& contention) const;
-  double ref_iter_time(ModelId id, const TrainConfig& cfg, int cores,
-                       const ContentionFactors& contention) const;
-  double ref_gpu_utilization(ModelId id, const TrainConfig& cfg, int cores,
-                             const ContentionFactors& contention) const;
-  int ref_saturation_cores(ModelId id, const TrainConfig& cfg,
-                           const ContentionFactors& contention,
-                           int max_cores) const;
-  int ref_optimal_cores(ModelId id, const TrainConfig& cfg, int max_cores,
-                        double tolerance) const;
-
-  double batch_ratio(ModelId id, const TrainConfig& cfg) const;
-
-  bool memoize_ = true;
   mutable CacheStats stats_;
   // node-based map: Invariants addresses stay stable across rehashes.
   mutable std::unordered_map<InvKey, std::unique_ptr<Invariants>, InvKeyHash>

@@ -1,8 +1,6 @@
 #include "sched/placement.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "util/assert.h"
 
@@ -10,13 +8,8 @@ namespace coda::sched {
 
 namespace {
 
-bool read_index_enabled_from_env() {
-  const char* v = std::getenv("CODA_NO_PLACEMENT_INDEX");
-  return v == nullptr || v[0] == '\0' || std::string_view(v) == "0";
-}
-
 bool& index_enabled_flag() {
-  static bool enabled = read_index_enabled_from_env();
+  static bool enabled = true;
   return enabled;
 }
 

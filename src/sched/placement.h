@@ -42,8 +42,8 @@ using IdRange = cluster::PlacementIndex::IdRange;
 // Finds a best-fit placement over all nodes (or an id range), or nullopt
 // when the cluster cannot host the request right now. Deterministic: ties
 // break on node id. Served from the cluster's placement index unless it is
-// disabled (CODA_NO_PLACEMENT_INDEX=1 or set_placement_index_enabled) —
-// both paths return bit-identical results.
+// disabled with set_placement_index_enabled — both paths return
+// bit-identical results.
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         const PlacementRequest& request);
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,

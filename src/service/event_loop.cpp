@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__linux__)
@@ -19,11 +18,6 @@
 namespace coda::service {
 
 namespace {
-
-bool force_poll_backend() {
-  const char* v = std::getenv("CODA_SERVE_FORCE_POLL");
-  return v != nullptr && v[0] == '1' && v[1] == '\0';
-}
 
 #if CODA_SERVICE_HAVE_EPOLL
 uint32_t epoll_mask(bool want_read, bool want_write) {
@@ -53,9 +47,7 @@ short poll_mask(bool want_read, bool want_write) {
 
 Poller::Poller() {
 #if CODA_SERVICE_HAVE_EPOLL
-  if (!force_poll_backend()) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  }
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
 #endif
   backend_ok_ = true;  // the poll backend needs no setup
 }

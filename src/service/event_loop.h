@@ -1,8 +1,7 @@
 // Readiness polling for the codad I/O thread.
 //
 // `Poller` wraps epoll (Linux) with a poll(2) fallback selected at runtime
-// (non-Linux builds, epoll_create failure, or CODA_SERVE_FORCE_POLL=1 for
-// exercising the fallback on Linux). Both backends are level-triggered: a
+// (non-Linux builds or epoll_create failure). Both backends are level-triggered: a
 // socket with unread bytes or unflushed output keeps reporting ready, so
 // the event loop never needs to remember partial progress across waits.
 //

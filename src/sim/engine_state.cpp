@@ -34,9 +34,7 @@ void ClusterEngine::save_state(state::Writer* w) const {
           node_failures_);
   w->line("stats", stats_.node_recomputes, stats_.rate_updates,
           stats_.reschedules, stats_.reschedules_skipped,
-          stats_.dirty_flushes, stats_.parallel_flushes,
-          stats_.parallel_flush_nodes, stats_.parallel_worker_max_residents,
-          stats_.parallel_worker_sum_residents);
+          stats_.dirty_flushes);
 
   w->line("records", records_.size());
   for (const auto& [id, rec] : records_) {
@@ -133,7 +131,8 @@ void ClusterEngine::save_state(state::Writer* w) const {
 
 util::Status ClusterEngine::load_state(
     state::Reader* r,
-    const std::map<cluster::JobId, workload::JobSpec>& specs) {
+    const std::map<cluster::JobId, workload::JobSpec>& specs,
+    uint64_t version) {
   CODA_ASSERT_MSG(records_.empty() && running_.empty(),
                   "load_state requires a restore-mode engine with no trace");
 
@@ -155,10 +154,13 @@ util::Status ClusterEngine::load_state(
   stats_.reschedules = r->u64();
   stats_.reschedules_skipped = r->u64();
   stats_.dirty_flushes = r->u64();
-  stats_.parallel_flushes = r->u64();
-  stats_.parallel_flush_nodes = r->u64();
-  stats_.parallel_worker_max_residents = r->u64();
-  stats_.parallel_worker_sum_residents = r->u64();
+  if (version == 2) {
+    // v2 stats carried four parallel-flush counters; the engine no longer
+    // has a parallel flush, so they are parsed and dropped.
+    for (int i = 0; i < 4; ++i) {
+      r->u64();
+    }
+  }
 
   r->expect("records");
   uint64_t n = r->u64();
@@ -392,7 +394,13 @@ util::Status ClusterEngine::load_state(
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("ctr");
     const std::string name(r->token());
-    metrics_.set(name, r->f64());
+    const double value = r->f64();
+    // v2 sessions published engine_parallel_* gauges; dropping them makes a
+    // v2-restored session re-capture the bytes of a fresh v3 session.
+    if (version == 2 && name.rfind("engine_parallel_", 0) == 0) {
+      continue;
+    }
+    metrics_.set(name, value);
   }
   r->expect("series");
   n = r->u64();

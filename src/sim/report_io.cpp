@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 #include "util/assert.h"
@@ -186,11 +188,13 @@ class Cursor {
     return v;
   }
 
+  // Out-of-range integers (ERANGE) are corrupt input, not clamped values.
   long long ll() {
     skip_ws();
     char* next = nullptr;
+    errno = 0;
     const long long v = std::strtoll(p_, &next, 10);
-    if (next == p_) {
+    if (next == p_ || errno == ERANGE) {
       failed_ = true;
       return 0;
     }
@@ -203,18 +207,28 @@ class Cursor {
   uint64_t u64() {
     skip_ws();
     char* next = nullptr;
+    errno = 0;
     const unsigned long long v =
         p_ < end_ && *p_ == '-' ? 0 : std::strtoull(p_, &next, 10);
-    if (next == nullptr || next == p_) {
+    if (next == nullptr || next == p_ || errno == ERANGE) {
       failed_ = true;
       return 0;
     }
     p_ = next;
     return v;
   }
-  int i() { return static_cast<int>(ll()); }
+  int i() { return i_in(INT_MIN, INT_MAX); }
+  // An integer in [lo, hi]; anything else fails the parse.
+  int i_in(int lo, int hi) {
+    const long long v = ll();
+    if (v < lo || v > hi) {
+      failed_ = true;
+      return 0;
+    }
+    return static_cast<int>(v);
+  }
   size_t zu() { return static_cast<size_t>(u64()); }
-  bool b() { return ll() != 0; }
+  bool b() { return i_in(0, 1) == 1; }
 
  private:
   void skip_ws() {
@@ -317,9 +331,11 @@ workload::JobSpec read_spec(Cursor& c) {
   workload::JobSpec spec;
   spec.id = c.u64();
   spec.tenant = static_cast<cluster::TenantId>(c.u64());
-  spec.kind = static_cast<workload::JobKind>(c.i());
+  spec.kind = static_cast<workload::JobKind>(
+      c.i_in(0, static_cast<int>(workload::JobKind::kGpuTraining)));
   spec.submit_time = c.d();
-  spec.model = static_cast<perfmodel::ModelId>(c.i());
+  spec.model =
+      static_cast<perfmodel::ModelId>(c.i_in(0, perfmodel::kModelCount - 1));
   spec.train_config.nodes = c.i();
   spec.train_config.gpus_per_node = c.i();
   spec.train_config.batch_size = c.i();
@@ -596,7 +612,8 @@ util::Result<ExperimentReport> deserialize_report(const std::string& text) {
   for (size_t i = 0; i < n_outcomes && !c.failed(); ++i) {
     core::CodaScheduler::TuningOutcome outcome;
     outcome.job = c.u64();
-    outcome.model = static_cast<perfmodel::ModelId>(c.i());
+    outcome.model =
+        static_cast<perfmodel::ModelId>(c.i_in(0, perfmodel::kModelCount - 1));
     outcome.requested_cpus = c.i();
     outcome.start_cpus = c.i();
     outcome.final_cpus = c.i();

@@ -18,8 +18,8 @@ namespace coda::state {
 
 namespace {
 
-// v2: the engine stats line grew the parallel-flush counters (PR 9).
-constexpr uint64_t kVersion = 2;
+// v2 still restores: the engine discards its parallel-flush fields.
+constexpr uint64_t kOldestVersion = 2;
 
 util::Error precondition(const std::string& msg) {
   return util::Error{util::ErrorCode::kFailedPrecondition, msg};
@@ -39,7 +39,7 @@ util::Result<std::string> capture_snapshot(const SnapshotMeta& meta,
   }
 
   Writer w;
-  w.line("CODA_SNAPSHOT", kVersion);
+  w.line("CODA_SNAPSHOT", kSnapshotVersion);
   w.line("meta", meta.seq, meta.virtual_time, meta.dispatched, meta.accepted,
          meta.next_auto_id);
   w.line("session_bytes", session_text.size());
@@ -56,10 +56,14 @@ util::Result<std::string> capture_snapshot(const SnapshotMeta& meta,
 
 util::Result<Snapshot> parse_snapshot(std::string_view text) {
   Reader r(text);
-  if (r.expect("CODA_SNAPSHOT") && r.u64() != kVersion && r.ok()) {
-    r.fail("unsupported snapshot version");
-  }
   Snapshot snap;
+  if (r.expect("CODA_SNAPSHOT")) {
+    snap.version = r.u64();
+    if (r.ok() && (snap.version < kOldestVersion ||
+                   snap.version > kSnapshotVersion)) {
+      r.fail("unsupported snapshot version");
+    }
+  }
   r.expect("meta");
   snap.meta.seq = r.u64();
   snap.meta.virtual_time = r.f64();
@@ -109,7 +113,8 @@ util::Result<RestoredSession> restore_session(
                                   snapshot.meta.dispatched);
 
   Reader r(snapshot.body);
-  if (auto status = out.engine->load_state(&r, specs); !status.ok()) {
+  if (auto status = out.engine->load_state(&r, specs, snapshot.version);
+      !status.ok()) {
     return status.error();
   }
   out.scheduler.scheduler->load_state(&r, specs);

@@ -5,7 +5,7 @@
 //
 // Container format (line-oriented text, see state/serde.h):
 //
-//   CODA_SNAPSHOT 1
+//   CODA_SNAPSHOT 3            (2 still parses and restores)
 //   meta <seq> <vt hexfloat> <dispatched> <accepted> <next_auto_id>
 //   session_bytes <N>
 //   <N raw bytes: a full journal text — header + S-lines — covering every
@@ -36,6 +36,11 @@
 
 namespace coda::state {
 
+// Container version written by capture_snapshot.
+// v2: the engine stats line grew four parallel-flush counters.
+// v3: those counters and the engine_parallel_* gauges are gone again.
+constexpr uint64_t kSnapshotVersion = 3;
+
 struct SnapshotMeta {
   uint64_t seq = 0;             // snapshot sequence within the session
   double virtual_time = 0.0;    // simulator clock at capture
@@ -49,6 +54,7 @@ struct SnapshotMeta {
 // A parsed snapshot container. `session_text` is the embedded journal;
 // `body` is the engine/scheduler/manifest tail, parsed by restore_session.
 struct Snapshot {
+  uint64_t version = kSnapshotVersion;  // from the CODA_SNAPSHOT line
   SnapshotMeta meta;
   std::string session_text;
   std::string body;

@@ -1,5 +1,6 @@
 // Equivalence suite for the hot-path optimizations: the memoized TrainPerf
-// must be bit-for-bit identical to the reference (unmemoized) arithmetic,
+// must be bit-for-bit identical to the reference (unmemoized) arithmetic in
+// tests/oracle (oracle::ReferencePerf),
 // and the incremental (dirty-set) engine must produce byte-identical
 // experiment reports to the eager reference engine. These tests are the
 // contract that lets the memo/incremental paths stay on by default.
@@ -10,6 +11,7 @@
 #include <cstring>
 #include <string>
 
+#include "oracle/reference_perf.h"
 #include "perfmodel/train_perf.h"
 #include "sim/experiment.h"
 #include "sim/report_io.h"
@@ -17,6 +19,8 @@
 
 namespace coda::perfmodel {
 namespace {
+
+using oracle::ReferencePerf;
 
 uint64_t bits(double v) {
   uint64_t b = 0;
@@ -33,10 +37,7 @@ constexpr double kGpuInflations[] = {1.0, 1.01, 1.4};
 
 TEST(PerfEquivalence, MemoizedMatchesReferenceBitForBit) {
   TrainPerf memo;
-  TrainPerf ref;
-  ref.set_memoize(false);
-  ASSERT_TRUE(memo.memoize());
-  ASSERT_FALSE(ref.memoize());
+  const ReferencePerf ref;
 
   const TrainConfig configs[] = {config_1n1g(), config_1n4g(), config_2n4g()};
   for (ModelId id : kAllModels) {
@@ -69,13 +70,11 @@ TEST(PerfEquivalence, MemoizedMatchesReferenceBitForBit) {
   // The grid revisits every (model, cfg, cores, factors) point six times
   // (once per probe), so the memo must be doing real work by the end.
   EXPECT_GT(memo.cache_stats().hits, memo.cache_stats().misses);
-  EXPECT_EQ(ref.cache_stats().hits, 0u);
 }
 
 TEST(PerfEquivalence, OptimalCoresAndDemandsMatchReference) {
   TrainPerf memo;
-  TrainPerf ref;
-  ref.set_memoize(false);
+  const ReferencePerf ref;
 
   const TrainConfig configs[] = {config_1n1g(), config_1n4g(), config_2n4g()};
   for (ModelId id : kAllModels) {
@@ -118,20 +117,19 @@ TEST(PerfEquivalence, RepeatedCallsHitTheCacheAndStayIdentical) {
   EXPECT_EQ(after_loop.misses, after_first.misses);
   EXPECT_GE(after_loop.hits, after_first.hits + 100);
 
-  // Toggling memoization clears the caches and still returns the same bits.
-  perf.set_memoize(false);
-  EXPECT_EQ(bits(perf.iter_time(ModelId::kResnet50, cfg, 9, f)), bits(first));
-  perf.set_memoize(true);
-  EXPECT_EQ(perf.cache_stats().hits, 0u);
-  EXPECT_EQ(bits(perf.iter_time(ModelId::kResnet50, cfg, 9, f)), bits(first));
+  // The reference arithmetic and a cold instance return the same bits.
+  EXPECT_EQ(bits(ReferencePerf().iter_time(ModelId::kResnet50, cfg, 9, f)),
+            bits(first));
+  TrainPerf cold;
+  EXPECT_EQ(bits(cold.iter_time(ModelId::kResnet50, cfg, 9, f)), bits(first));
+  EXPECT_EQ(cold.cache_stats().hits, 0u);
 }
 
 TEST(PerfEquivalence, NearIdenticalFactorsDoNotConflate) {
   // Two factor pairs closer than the hash quantization step must still
   // evaluate independently: equality on the exact bits, never the hash.
   TrainPerf memo;
-  TrainPerf ref;
-  ref.set_memoize(false);
+  const ReferencePerf ref;
   const TrainConfig cfg = config_1n1g();
   const double base = 1.25;
   const double nudged = std::nextafter(base, 2.0);

@@ -245,6 +245,16 @@ TEST(ReportSerialization, CorruptCountsAreParseErrorsNotExceptions) {
            {"tuning_outcomes 1\n", "tuning_outcomes 99999999999999\n"},
            {"gpu_queue_times 5 ", "gpu_queue_times -5 "},
            {"series gpu_util 1 ", "series gpu_util 99999999999999 "},
+           // Integers outside their field's type or enum range.
+           {"CODA_REPORT 2\n", "CODA_REPORT 4294967298\n"},
+           {"eliminator 60480 ", "eliminator 4294967296 "},
+           {"18446744073709551615 7 1 ", "18446744073709551615 7 4294967297 "},
+           {"18446744073709551615 7 1 ", "18446744073709551615 7 2 "},
+           {"0x1.91p+6 0 2 4 256 ", "0x1.91p+6 8 2 4 256 "},
+           {"0x1.91p+6 0 2 4 256 ", "0x1.91p+6 -1 2 4 256 "},
+           {" 12 1 1 0 0 ", " 12 2 1 0 0 "},
+           {" 12 1 1 0 0 ", " 12 99999999999999999999 1 0 0 "},
+           {"9223372036854775808 0 12 ", "9223372036854775808 8 12 "},
        }) {
     const std::string corrupt = patched(text, from, to);
     util::Result<ExperimentReport> parsed = ExperimentReport{};

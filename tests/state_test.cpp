@@ -154,7 +154,7 @@ TEST(Snapshot, WriteFileDurableReplacesAtomically) {
 
 TEST(Snapshot, SerializedStructSizeTripwires) {
   EXPECT_EQ(sizeof(sim::JobRecord), 224u);
-  EXPECT_EQ(sizeof(sim::ClusterEngine::EngineStats), 72u);
+  EXPECT_EQ(sizeof(sim::ClusterEngine::EngineStats), 40u);
   EXPECT_EQ(sizeof(perfmodel::ResourceFootprint), 80u);
   EXPECT_EQ(sizeof(perfmodel::ContentionFactors), 16u);
   EXPECT_EQ(sizeof(perfmodel::JobContention), 40u);
@@ -308,6 +308,85 @@ TEST(Snapshot, RestoreDuringDrainReproducesReportBytes) {
   const std::string got = finish_and_report(
       sim::Policy::kCoda, config, trace.size(), restored->scheduler,
       *restored->engine);
+  EXPECT_EQ(got, want);
+}
+
+// Rewrites a v3 capture into the v2 layout: the version line, four zero
+// parallel-flush counters on the engine stats line, and the two
+// engine_parallel_* gauges every v2 session published.
+std::string as_v2_snapshot(std::string v3) {
+  auto replace_once = [&v3](const std::string& from, const std::string& to) {
+    const size_t pos = v3.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    if (pos != std::string::npos) {
+      v3.replace(pos, from.size(), to);
+    }
+  };
+  replace_once("CODA_SNAPSHOT 3\n", "CODA_SNAPSHOT 2\n");
+  const size_t stats = v3.find("\nstats ");
+  EXPECT_NE(stats, std::string::npos);
+  v3.insert(v3.find('\n', stats + 1), " 0 0 0 0");
+  const size_t counters = v3.find("\ncounters ");
+  EXPECT_NE(counters, std::string::npos);
+  const size_t count_begin = counters + std::string("\ncounters ").size();
+  const size_t count_end = v3.find('\n', count_begin);
+  const uint64_t n =
+      std::stoull(v3.substr(count_begin, count_end - count_begin));
+  Writer extra;
+  extra.line("ctr", "engine_parallel_flush_nodes", 0.0);
+  extra.line("ctr", "engine_parallel_flushes", 0.0);
+  v3.replace(count_begin, count_end - count_begin, std::to_string(n + 2));
+  v3.insert(v3.find('\n', count_begin) + 1, extra.text());
+  return v3;
+}
+
+TEST(Snapshot, V2SnapshotRestoresByteIdentically) {
+  // A v2 snapshot (taken before the parallel flush was removed) must still
+  // restore, drain to the uninterrupted report, and re-capture exactly the
+  // bytes a v3 capture of the same session holds.
+  auto trace_cfg = sim::standard_week_trace(11);
+  trace_cfg.duration_s = 2.0 * 3600.0;
+  trace_cfg.cpu_jobs = 30;
+  trace_cfg.gpu_jobs = 15;
+  const auto trace = workload::TraceGenerator(trace_cfg).generate();
+  sim::ExperimentConfig config;
+  config.horizon_s = trace_cfg.duration_s;
+  config.drain_slack_s = 86400.0;
+  config.engine.cluster.node_count = 6;
+  const sim::Policy policy = sim::Policy::kCoda;
+
+  OfflineSession uninterrupted = start_session(policy, config, trace);
+  OfflineSession cut = start_session(policy, config, trace);
+  cut.engine->run_until(0.5 * config.horizon_s);
+  // The gauges exist from the first metrics tick on.
+  ASSERT_GT(cut.engine->metrics().counters().size(), 0u);
+
+  SnapshotMeta meta;
+  meta.seq = 1;
+  meta.virtual_time = cut.engine->sim().now();
+  meta.dispatched = cut.engine->sim().dispatched();
+  auto v3 = capture_snapshot(meta, "offline", *cut.engine,
+                             *cut.scheduler.scheduler);
+  ASSERT_TRUE(v3.ok()) << v3.error().message;
+  const std::string v2 = as_v2_snapshot(*v3);
+  ASSERT_NE(v2, *v3);
+
+  auto parsed = parse_snapshot(v2);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  EXPECT_EQ(parsed->version, 2u);
+  auto restored = restore_session(*parsed, policy, config, trace);
+  ASSERT_TRUE(restored.ok()) << restored.error().message;
+
+  auto again = capture_snapshot(meta, "offline", *restored->engine,
+                                *restored->scheduler.scheduler);
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  EXPECT_EQ(*again, *v3);
+
+  const std::string want = finish_and_report(
+      policy, config, trace.size(), uninterrupted.scheduler,
+      *uninterrupted.engine);
+  const std::string got = finish_and_report(
+      policy, config, trace.size(), restored->scheduler, *restored->engine);
   EXPECT_EQ(got, want);
 }
 
