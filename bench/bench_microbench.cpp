@@ -21,7 +21,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   for (auto _ : state) {
     simcore::EventQueue queue;
     for (int i = 0; i < state.range(0); ++i) {
-      queue.push(rng.uniform(), [] {});
+      queue.push(rng.uniform(), simcore::EventTag{1});
     }
     while (!queue.empty()) {
       benchmark::DoNotOptimize(queue.pop().t);
@@ -31,14 +31,14 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1000)->Arg(10000);
 
-// The handle-free fast path (post): no per-event control-block allocation.
-// items_per_second here is the queue's raw events/sec ceiling.
+// The handle-free fast path (post): no control slot, and entries are plain
+// data. items_per_second here is the queue's raw events/sec ceiling.
 void BM_EventQueuePostPop(benchmark::State& state) {
   util::Rng rng(1);
   for (auto _ : state) {
     simcore::EventQueue queue;
     for (int i = 0; i < state.range(0); ++i) {
-      queue.post(rng.uniform(), [] {});
+      queue.post(rng.uniform(), simcore::EventTag{1});
     }
     while (!queue.empty()) {
       benchmark::DoNotOptimize(queue.pop().t);
@@ -52,8 +52,9 @@ void BM_SimulatorDispatch(benchmark::State& state) {
   for (auto _ : state) {
     simcore::Simulator sim;
     int counter = 0;
+    sim.set_handler(1, [&counter](const simcore::EventTag&) { ++counter; });
     for (int i = 0; i < state.range(0); ++i) {
-      sim.schedule_at(static_cast<double>(i), [&counter] { ++counter; });
+      sim.schedule_at(static_cast<double>(i), simcore::EventTag{1});
     }
     sim.run_all();
     benchmark::DoNotOptimize(counter);

@@ -119,10 +119,17 @@ int main(int argc, char** argv) {
               100 * engine.gpu_utilization(1),
               100 * engine.expected_gpu_utilization(1));
 
+  // The engine's no-contention utilization is the eliminator's reference.
+  struct EngineExpectation : core::ExpectedUtilSource {
+    explicit EngineExpectation(const sim::ClusterEngine* e) : engine(e) {}
+    double expected_utilization(cluster::JobId job) const override {
+      return engine->expected_gpu_utilization(job);
+    }
+    const sim::ClusterEngine* engine;
+  };
   core::ContentionEliminator eliminator(core::EliminatorConfig{},
                                         &manual.env());
-  eliminator.check_all(
-      [&](cluster::JobId job) { return engine.expected_gpu_utilization(job); });
+  eliminator.check_all(EngineExpectation(&engine));
   engine.run_until(t + 2.0);
   std::printf("after eliminator: util %.1f%% | MBA throttles %d, halvings %d\n",
               100 * engine.gpu_utilization(1),

@@ -7,8 +7,10 @@
 #   build-dir    defaults to build-bench (configured as Release)
 #   --compare    print per-bench cold/warm deltas against a previous
 #                BENCH_runtime.json and exit non-zero if the cold total
-#                regressed by more than 25% (CODA_BENCH_NO_GATE=1 keeps the
-#                report but disables the failure exit)
+#                regressed by more than 25%, the scale or serve headline
+#                halved, or allocs_per_event grew by more than 0.05
+#                (CODA_BENCH_NO_GATE=1 keeps the report but disables the
+#                failure exit)
 #
 # Environment:
 #   CODA_JOBS            worker threads per bench process (default: all cores)
@@ -296,6 +298,7 @@ if [[ -n "$COMPARE" ]]; then
   OLD_EPS=$(old_total events_per_sec)
   OLD_EPS_SCALE=$(old_total events_per_sec_scale)
   OLD_SERVE=$(old_total serve_cmds_per_sec)
+  OLD_ALLOCS=$(old_total allocs_per_event)
   NEW_COLD=$(awk "BEGIN{print $COLD_MS/1000}")
   echo ""
   awk "BEGIN{printf \"  cold total: %.2f s -> %.2f s (%+.0f%%)\n\", \
@@ -314,6 +317,10 @@ if [[ -n "$COMPARE" ]]; then
     awk "BEGIN{printf \"  serve bench: %.0f -> %.0f cmds/s (%+.0f%%)\n\", \
          $OLD_SERVE, $SERVE_CMDS_PER_SEC, \
          100*($SERVE_CMDS_PER_SEC-$OLD_SERVE)/$OLD_SERVE}"
+  fi
+  if [[ -n "$OLD_ALLOCS" ]]; then
+    awk "BEGIN{printf \"  allocs/event: %.4f -> %.4f (%+.4f)\n\", \
+         $OLD_ALLOCS, $ALLOCS_PER_EVENT, $ALLOCS_PER_EVENT-$OLD_ALLOCS}"
   fi
 
   # Gate: >25% cold-suite regression fails the run so a perf loss cannot
@@ -338,6 +345,21 @@ if [[ -n "$COMPARE" ]]; then
         echo "  WARNING: scale bench regressed >50% (gate disabled)" >&2
       else
         echo "  FAIL: scale bench regressed >50% vs $COMPARE" >&2
+        exit 1
+      fi
+    fi
+  fi
+  # allocs_per_event is a count of the deterministic engine micro run, not
+  # a timing: any growth past 0.05 allocations per event is a real new
+  # allocation on the event path and fails the run.
+  if [[ -n "$OLD_ALLOCS" ]]; then
+    ALLOCS_REGRESSED=$(awk "BEGIN{
+      print ($ALLOCS_PER_EVENT > $OLD_ALLOCS + 0.05) ? 1 : 0}")
+    if [[ "$ALLOCS_REGRESSED" == "1" ]]; then
+      if [[ "${CODA_BENCH_NO_GATE:-0}" == "1" ]]; then
+        echo "  WARNING: allocs/event grew >0.05 (gate disabled)" >&2
+      else
+        echo "  FAIL: allocs/event grew >0.05 vs $COMPARE" >&2
         exit 1
       fi
     fi

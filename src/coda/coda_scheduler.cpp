@@ -26,9 +26,10 @@ void CodaScheduler::ArrayState::push_front(const workload::JobSpec& spec) {
   queues[spec.tenant].push_front(spec);
 }
 
-std::vector<cluster::TenantId> CodaScheduler::ArrayState::drf_order(
-    int total_capacity) const {
-  std::vector<cluster::TenantId> order;
+const std::vector<cluster::TenantId>& CodaScheduler::ArrayState::drf_order(
+    int total_capacity) {
+  std::vector<cluster::TenantId>& order = order_scratch;
+  order.clear();
   for (const auto& [tenant, queue] : queues) {
     if (!queue.empty()) {
       order.push_back(tenant);
@@ -86,41 +87,68 @@ void CodaScheduler::attach(const sched::SchedulerEnv& env) {
   total_borrowed_ = 0;
   refresh_all_cpu_bias();
 
+  simcore::Simulator& sim = *env_.sim;
+  sim.set_handler(simcore::kTagEliminatorTick,
+                  [this](const simcore::EventTag&) {
+                    eliminator_->check_all(*this);
+                  });
+  sim.set_handler(simcore::kTagReservationTick,
+                  [this](const simcore::EventTag&) {
+                    update_reservation_from_history();
+                  });
+  sim.set_handler(simcore::kTagTuningTick, [this](const simcore::EventTag& e) {
+    on_tuning_tick(e.a, e.b);
+  });
+
   // In restore mode the snapshot manifest re-arms both periodics at their
-  // exact next firing times (rearm_* below); scheduling them here too would
+  // exact next firing times (rearm_* below); starting them here too would
   // double-tick.
   if (config_.eliminator.enabled && !env_.defer_periodics) {
-    rearm_eliminator_tick(env_.sim->now() + config_.eliminator.check_period_s);
+    sim.start_periodic(sim.now() + config_.eliminator.check_period_s,
+                       config_.eliminator.check_period_s,
+                       simcore::EventTag{simcore::kTagEliminatorTick});
   }
   if (config_.multi_array_enabled &&
       config_.reservation_update_period_s > 0.0 && !env_.defer_periodics) {
-    rearm_reservation_tick(env_.sim->now() +
-                           config_.reservation_update_period_s);
+    sim.start_periodic(sim.now() + config_.reservation_update_period_s,
+                       config_.reservation_update_period_s,
+                       simcore::EventTag{simcore::kTagReservationTick});
   }
 }
 
-void CodaScheduler::rearm_eliminator_tick(double first) {
-  env_.sim->schedule_periodic_at(
-      first, config_.eliminator.check_period_s,
-      [this] {
-        eliminator_->check_all(
-            [this](cluster::JobId job) { return expected_utilization(job); });
-      },
-      simcore::EventTag{simcore::kTagEliminatorTick});
+util::Status CodaScheduler::rearm_periodic(double first, double period,
+                                           uint32_t kind, bool enabled) {
+  if (!enabled) {
+    return util::Error{util::ErrorCode::kInvalidArgument,
+                       "manifest re-arms a CODA periodic this configuration "
+                       "disables"};
+  }
+  if (env_.sim->periodic_running(kind)) {
+    return util::Error{util::ErrorCode::kInvalidArgument,
+                       "second manifest entry for one CODA periodic"};
+  }
+  env_.sim->start_periodic(first, period, simcore::EventTag{kind});
+  return util::Status::Ok();
 }
 
-void CodaScheduler::rearm_reservation_tick(double first) {
-  env_.sim->schedule_periodic_at(
-      first, config_.reservation_update_period_s,
-      [this] { update_reservation_from_history(); },
-      simcore::EventTag{simcore::kTagReservationTick});
+util::Status CodaScheduler::rearm_eliminator_tick(double first) {
+  return rearm_periodic(first, config_.eliminator.check_period_s,
+                        simcore::kTagEliminatorTick,
+                        config_.eliminator.enabled);
+}
+
+util::Status CodaScheduler::rearm_reservation_tick(double first) {
+  return rearm_periodic(first, config_.reservation_update_period_s,
+                        simcore::kTagReservationTick,
+                        config_.multi_array_enabled &&
+                            config_.reservation_update_period_s > 0.0);
 }
 
 void CodaScheduler::rearm_tuning_tick(double t, cluster::JobId job,
                                       uint64_t generation) {
+  // A stale (job, generation) pair is harmless: on_tuning_tick ignores it.
   env_.sim->schedule_at(
-      t, [this, job, generation] { on_tuning_tick(job, generation); },
-      simcore::EventTag{simcore::kTagTuningTick, job, generation});
+      t, simcore::EventTag{simcore::kTagTuningTick, job, generation});
 }
 
 bool CodaScheduler::is_four_gpu_job(const workload::JobSpec& spec) const {
@@ -399,7 +427,8 @@ bool CodaScheduler::evict_cpu_borrowers_for(cluster::NodeId node_id,
     return true;
   }
   // Collect borrowers on this node, most recently started first (LIFO).
-  std::vector<const RunningCpu*> borrowers;
+  std::vector<const RunningCpu*>& borrowers = borrower_scratch_;
+  borrowers.clear();
   for (cluster::JobId job : cpu_jobs_by_node_[node_id]) {
     auto it = running_cpu_.find(job);
     CODA_ASSERT(it != running_cpu_.end());
@@ -500,7 +529,8 @@ bool CodaScheduler::migrate_cross_borrowers_for(
         !node_in_four_array(node.id())) {
       continue;
     }
-    std::vector<cluster::JobId> borrowers;
+    std::vector<cluster::JobId>& borrowers = migration_scratch_;
+    borrowers.clear();
     int gpus_reclaimable = node.free_gpus();
     int cores_reclaimable = node.free_cpus();
     for (const auto& [job, alloc] : node.allocations()) {

@@ -49,7 +49,7 @@ struct CodaConfig {
   double static_bw_cap_gbps = 0.0;
 };
 
-class CodaScheduler : public sched::Scheduler {
+class CodaScheduler : public sched::Scheduler, private ExpectedUtilSource {
  public:
   explicit CodaScheduler(const CodaConfig& config);
 
@@ -104,9 +104,11 @@ class CodaScheduler : public sched::Scheduler {
   // Re-arm helpers: re-post one pending event recorded in a snapshot's
   // manifest at its exact absolute time. The periodic ticks are re-armed as
   // fresh chains whose first firing is the manifest time (attach() skipped
-  // scheduling them in restore mode — see SchedulerEnv::defer_periodics).
-  void rearm_eliminator_tick(double first);
-  void rearm_reservation_tick(double first);
+  // starting them in restore mode — see SchedulerEnv::defer_periodics); a
+  // second entry for one chain, or one this configuration disables, fails
+  // with kInvalidArgument.
+  util::Status rearm_eliminator_tick(double first);
+  util::Status rearm_reservation_tick(double first);
   void rearm_tuning_tick(double t, cluster::JobId job, uint64_t generation);
 
  private:
@@ -119,8 +121,13 @@ class CodaScheduler : public sched::Scheduler {
     size_t pending() const;
     void push_back(const workload::JobSpec& spec);
     void push_front(const workload::JobSpec& spec);
-    // Tenants with pending jobs ordered by ascending usage share.
-    std::vector<cluster::TenantId> drf_order(int total_capacity) const;
+    // Tenants with pending jobs ordered by ascending usage share, in this
+    // array's scratch buffer (kick runs after every event, so the order
+    // must not allocate); valid until the next drf_order call on the same
+    // array.
+    const std::vector<cluster::TenantId>& drf_order(int total_capacity);
+
+    std::vector<cluster::TenantId> order_scratch;
   };
 
   struct RunningGpu {
@@ -177,8 +184,12 @@ class CodaScheduler : public sched::Scheduler {
   void begin_tuning(cluster::JobId job);
   void schedule_tuning_tick(cluster::JobId job, uint64_t generation);
   void on_tuning_tick(cluster::JobId job, uint64_t generation);
-  double expected_utilization(cluster::JobId job) const;
+  // The eliminator's reference: utilization at the job's current cores
+  // absent contention; -1 for a job not running here.
+  double expected_utilization(cluster::JobId job) const override;
   void update_reservation_from_history();
+  util::Status rearm_periodic(double first, double period, uint32_t kind,
+                              bool enabled);
 
   CodaConfig config_;
   perfmodel::TrainPerf perf_;
@@ -251,6 +262,10 @@ class CodaScheduler : public sched::Scheduler {
 
   // Scratch for the indexed eviction-candidate collection.
   std::vector<cluster::NodeId> eviction_scratch_;
+  // Per-node scratch of evict_cpu_borrowers_for (CPU borrowers) and
+  // migrate_cross_borrowers_for (1-GPU cross-borrowers).
+  std::vector<const RunningCpu*> borrower_scratch_;
+  std::vector<cluster::JobId> migration_scratch_;
 };
 
 }  // namespace coda::core

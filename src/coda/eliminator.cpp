@@ -51,8 +51,7 @@ void ContentionEliminator::load_state(state::Reader* r) {
   }
 }
 
-void ContentionEliminator::check_all(
-    const std::function<double(cluster::JobId)>& expected_util) {
+void ContentionEliminator::check_all(const ExpectedUtilSource& expected) {
   if (!config_.enabled) {
     return;
   }
@@ -109,7 +108,7 @@ void ContentionEliminator::check_all(
     if (stale || !screened) {
       p = env_->bandwidth->pressure(id);
     }
-    if (check_node(node, expected_util, p)) {
+    if (check_node(node, expected, p)) {
       stale = true;
     }
     if (config_.release_when_calm) {
@@ -208,8 +207,7 @@ bool ContentionEliminator::release_node(const cluster::Node& node,
 }
 
 bool ContentionEliminator::check_node(
-    const cluster::Node& node,
-    const std::function<double(cluster::JobId)>& expected_util,
+    const cluster::Node& node, const ExpectedUtilSource& expected,
     double screened_pressure) {
   // Cheap screen first: most nodes sit below the threshold on most ticks,
   // and the full per-job sample is only needed once one crosses it.
@@ -228,9 +226,9 @@ bool ContentionEliminator::check_node(
       continue;
     }
     const double actual = env_->gpu_util->gpu_utilization(jb.job);
-    const double expected = expected_util(jb.job);
-    if (actual >= 0.0 && expected > 0.0 &&
-        actual < expected * (1.0 - config_.util_drop_tolerance)) {
+    const double want = expected.expected_utilization(jb.job);
+    if (actual >= 0.0 && want > 0.0 &&
+        actual < want * (1.0 - config_.util_drop_tolerance)) {
       gpu_job_suffering = true;
       break;
     }

@@ -53,12 +53,19 @@ struct EliminatorStats {
   int releases = 0;  // caps cleared / cores restored (extension)
 };
 
+// The no-contention reference a GPU job's observed utilization is judged
+// against: the utilization it should reach with its current core
+// allocation (from the performance model). Negative for unknown jobs.
+class ExpectedUtilSource {
+ public:
+  virtual double expected_utilization(cluster::JobId job) const = 0;
+
+ protected:
+  ~ExpectedUtilSource() = default;
+};
+
 class ContentionEliminator {
  public:
-  // `expected_util` must return the utilization a GPU job should reach with
-  // its current core allocation absent contention (the engine computes it
-  // from the performance model); `current_cpu_cores` returns a CPU job's
-  // core count on a node.
   // `on_cpu_resize(job, node, new_cores)` fires after a successful
   // core-halving so the owning scheduler can update its accounting.
   using CpuResizeCallback =
@@ -80,10 +87,9 @@ class ContentionEliminator {
   // One monitoring pass (call from a periodic simulator event): one
   // pressure screen, then the screened nodes and — with release_when_calm —
   // the nodes holding throttle records, in ascending id order. Makes the
-  // decisions a scan of every occupied node would. `expected_util(job)` is
-  // the no-contention utilization reference.
-  void check_all(
-      const std::function<double(cluster::JobId)>& expected_util);
+  // decisions a scan of every occupied node would. `expected` is the
+  // no-contention utilization reference.
+  void check_all(const ExpectedUtilSource& expected);
 
   // Forgets per-job bookkeeping when a job leaves its node for any reason
   // (finish, failure eviction, scheduler abort). Clears a still-live MBA
@@ -108,7 +114,7 @@ class ContentionEliminator {
   // state). Both return whether they changed cluster state — a cap set, a
   // resize — which forces later nodes in the same pass onto live probes.
   bool check_node(const cluster::Node& node,
-                  const std::function<double(cluster::JobId)>& expected_util,
+                  const ExpectedUtilSource& expected,
                   double screened_pressure);
   bool release_node(const cluster::Node& node, double screened_pressure);
 

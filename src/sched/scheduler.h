@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "simcore/event_tags.h"
 #include "simcore/simulator.h"
 #include "telemetry/mbm.h"
+#include "util/assert.h"
 #include "util/result.h"
 #include "workload/job.h"
 
@@ -84,11 +86,9 @@ struct SchedulerEnv {
   simcore::Simulator* sim = nullptr;
   const cluster::Cluster* cluster = nullptr;
 
-  // Snapshot-restore mode: attach() must NOT schedule its periodic events
+  // Snapshot-restore mode: attach() must NOT start its periodic chains
   // (eliminator checks, reservation updates). The restore path re-arms them
-  // at their exact next firing times from the snapshot manifest instead —
-  // a construct-then-cancel dance would leave a dead queue entry that still
-  // fires as a no-op and perturbs the dispatch count.
+  // at their exact next firing times from the snapshot manifest instead.
   bool defer_periodics = false;
 
   // Starts a pending job on the given placement. The engine validates and
@@ -141,8 +141,14 @@ class Scheduler {
 
   virtual const char* name() const = 0;
 
-  // Called once by the engine before the run starts.
-  virtual void attach(const SchedulerEnv& env) { env_ = env; }
+  // Called once by the engine before the run starts. Registers the retry
+  // resubmission handler; overrides call this first.
+  virtual void attach(const SchedulerEnv& env) {
+    env_ = env;
+    env_.sim->set_handler(
+        simcore::kTagRetryResubmit,
+        [this](const simcore::EventTag& e) { resubmit_retry(e.a); });
+  }
 
   // A new job arrived. Implementations enqueue it; the engine calls kick()
   // right after.
@@ -201,17 +207,18 @@ class Scheduler {
   virtual void load_state(state::Reader* r, const SpecMap& specs);
 
   // Re-posts one retry-backoff resubmission recorded in a snapshot manifest
-  // at its exact absolute simulated time. The closure matches the one
-  // retry_after_eviction posts, so the restored event dispatches
-  // identically.
-  void rearm_retry(double t, const workload::JobSpec& spec) {
+  // at its exact absolute simulated time, filing the spec the way
+  // retry_after_eviction does, so the restored event dispatches
+  // identically. Fails when the job already has a retry pending.
+  util::Status rearm_retry(double t, const workload::JobSpec& spec) {
+    if (!retry_specs_.emplace(spec.id, spec).second) {
+      return util::Error{util::ErrorCode::kInvalidArgument,
+                         "second retry manifest entry for job " +
+                             std::to_string(spec.id)};
+    }
     env_.sim->post_at(
-        t,
-        [this, spec] {
-          submit(spec);
-          kick();
-        },
-        simcore::EventTag{simcore::kTagRetryResubmit, spec.id});
+        t, simcore::EventTag{simcore::kTagRetryResubmit, spec.id});
+    return util::Status::Ok();
   }
 
   // Evictions survived so far by one job (0 if never evicted) — test hook.
@@ -241,19 +248,33 @@ class Scheduler {
     const double delay = std::min(
         retry_.backoff_base_s * std::ldexp(1.0, attempt - 1),
         retry_.backoff_max_s);
+    const bool fresh = retry_specs_.emplace(spec.id, spec).second;
+    CODA_ASSERT_MSG(fresh, "evicted job already has a retry pending");
     env_.sim->post_after(
-        delay,
-        [this, spec] {
-          submit(spec);
-          kick();
-        },
-        simcore::EventTag{simcore::kTagRetryResubmit, spec.id});
+        delay, simcore::EventTag{simcore::kTagRetryResubmit, spec.id});
     return false;
   }
 
   SchedulerEnv env_;
   RetryPolicy retry_;
   std::unordered_map<cluster::JobId, int> evictions_;
+
+ private:
+  // kTagRetryResubmit handler: the backoff elapsed; the job re-enters
+  // through the implementation's normal submit()+kick() path.
+  void resubmit_retry(cluster::JobId id) {
+    auto it = retry_specs_.find(id);
+    CODA_ASSERT_MSG(it != retry_specs_.end(), "retry for an unfiled job");
+    const workload::JobSpec spec = std::move(it->second);
+    retry_specs_.erase(it);
+    submit(spec);
+    kick();
+  }
+
+  // Specs of jobs waiting out a retry backoff, by id (the pending event
+  // carries only the id). Not serialized: the snapshot manifest's retry
+  // entries refill it through rearm_retry.
+  std::unordered_map<cluster::JobId, workload::JobSpec> retry_specs_;
 };
 
 }  // namespace coda::sched

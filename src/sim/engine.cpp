@@ -90,17 +90,44 @@ ClusterEngine::ClusterEngine(const EngineConfig& config,
   env.set_pressure_screen_floor = [this](double floor) {
     set_pressure_screen_floor(floor);
   };
+
+  sim_.set_handler(simcore::kTagArrival, [this](const simcore::EventTag& e) {
+    on_arrival(e.a);
+  });
+  sim_.set_handler(simcore::kTagJobFinish,
+                   [this](const simcore::EventTag& e) { finish_job(e.a); });
+  sim_.set_handler(simcore::kTagNodeFail, [this](const simcore::EventTag& e) {
+    (void)fail_node(static_cast<cluster::NodeId>(e.a));
+  });
+  sim_.set_handler(simcore::kTagNodeRecover,
+                   [this](const simcore::EventTag& e) {
+                     (void)recover_node(static_cast<cluster::NodeId>(e.a));
+                   });
+  sim_.set_handler(simcore::kTagMetricsTick,
+                   [this](const simcore::EventTag&) { sample_metrics(); });
   scheduler_->attach(env);
 
   if (!restore_mode) {
-    rearm_metrics_tick(config_.metrics_period_s);
+    sim_.start_periodic(config_.metrics_period_s, config_.metrics_period_s,
+                        simcore::EventTag{simcore::kTagMetricsTick});
   }
 }
 
-void ClusterEngine::rearm_metrics_tick(double first) {
-  sim_.schedule_periodic_at(first, config_.metrics_period_s,
-                            [this] { sample_metrics(); },
-                            simcore::EventTag{simcore::kTagMetricsTick});
+namespace {
+
+util::Error invalid_rearm(const std::string& what) {
+  return util::Error{util::ErrorCode::kInvalidArgument, what};
+}
+
+}  // namespace
+
+util::Status ClusterEngine::rearm_metrics_tick(double first) {
+  if (sim_.periodic_running(simcore::kTagMetricsTick)) {
+    return invalid_rearm("second metrics tick in the manifest");
+  }
+  sim_.start_periodic(first, config_.metrics_period_s,
+                      simcore::EventTag{simcore::kTagMetricsTick});
+  return util::Status::Ok();
 }
 
 ClusterEngine::~ClusterEngine() = default;
@@ -121,16 +148,17 @@ void ClusterEngine::inject(const workload::JobSpec& spec, double t) {
   record.spec = spec;
   record.submit_time = t;
   records_[spec.id] = std::move(record);
-  const cluster::JobId id = spec.id;
-  sim_.post_at(t, [this, id] { on_arrival(id); },
-               simcore::EventTag{simcore::kTagArrival, id});
+  sim_.post_at(t, simcore::EventTag{simcore::kTagArrival, spec.id});
 }
 
-void ClusterEngine::rearm_arrival(double t, cluster::JobId id) {
-  CODA_ASSERT_MSG(records_.count(id) > 0,
-                  "re-arming an arrival for an unknown job");
-  sim_.post_at(t, [this, id] { on_arrival(id); },
-               simcore::EventTag{simcore::kTagArrival, id});
+util::Status ClusterEngine::rearm_arrival(double t, cluster::JobId id) {
+  if (records_.count(id) == 0) {
+    return invalid_rearm(util::strfmt(
+        "arrival manifest entry for unknown job %llu",
+        static_cast<unsigned long long>(id)));
+  }
+  sim_.post_at(t, simcore::EventTag{simcore::kTagArrival, id});
+  return util::Status::Ok();
 }
 
 void ClusterEngine::on_arrival(cluster::JobId id) {
@@ -382,18 +410,21 @@ util::Status ClusterEngine::recover_node(cluster::NodeId node_id) {
 void ClusterEngine::schedule_node_outage(cluster::NodeId node, double at,
                                          double outage_s) {
   CODA_ASSERT(outage_s > 0.0);
-  rearm_outage_fail(at, node);
-  rearm_outage_recover(at + outage_s, node);
-}
-
-void ClusterEngine::rearm_outage_fail(double t, cluster::NodeId node) {
-  sim_.post_at(t, [this, node] { (void)fail_node(node); },
-               simcore::EventTag{simcore::kTagNodeFail, node});
-}
-
-void ClusterEngine::rearm_outage_recover(double t, cluster::NodeId node) {
-  sim_.post_at(t, [this, node] { (void)recover_node(node); },
+  CODA_ASSERT(node < cluster_.node_count());
+  sim_.post_at(at, simcore::EventTag{simcore::kTagNodeFail, node});
+  sim_.post_at(at + outage_s,
                simcore::EventTag{simcore::kTagNodeRecover, node});
+}
+
+util::Status ClusterEngine::rearm_outage(double t, uint32_t kind,
+                                         uint64_t node) {
+  if (node >= cluster_.node_count()) {
+    return invalid_rearm(util::strfmt(
+        "outage manifest entry for node %llu of a %zu-node cluster",
+        static_cast<unsigned long long>(node), cluster_.node_count()));
+  }
+  sim_.post_at(t, simcore::EventTag{kind, node});
+  return util::Status::Ok();
 }
 
 void ClusterEngine::finish_job(cluster::JobId id) {
@@ -684,10 +715,8 @@ void ClusterEngine::reschedule_finish(RunningJob& job) {
   CODA_ASSERT(job.rate > 0.0);
   ++stats_.reschedules;
   const double dt = job.remaining / job.rate;
-  const cluster::JobId id = job.id;
-  job.finish_event =
-      sim_.schedule_after(dt, [this, id] { finish_job(id); },
-                          simcore::EventTag{simcore::kTagJobFinish, id});
+  job.finish_event = sim_.schedule_after(
+      dt, simcore::EventTag{simcore::kTagJobFinish, job.id});
 }
 
 void ClusterEngine::write_ledger(const RunningJob& job) {
@@ -742,11 +771,21 @@ void ClusterEngine::erase_ledger(cluster::JobId id) {
   ledger_.erase(first, last);
 }
 
-void ClusterEngine::rearm_finish(double t, cluster::JobId id) {
-  RunningJob& job = running_.at(id);
-  job.finish_event =
-      sim_.schedule_at(t, [this, id] { finish_job(id); },
-                       simcore::EventTag{simcore::kTagJobFinish, id});
+util::Status ClusterEngine::rearm_finish(double t, cluster::JobId id) {
+  auto it = running_.find(id);
+  if (it == running_.end()) {
+    return invalid_rearm(util::strfmt(
+        "finish manifest entry for job %llu, which is not running",
+        static_cast<unsigned long long>(id)));
+  }
+  if (it->second.finish_event.pending()) {
+    return invalid_rearm(util::strfmt(
+        "second finish manifest entry for job %llu",
+        static_cast<unsigned long long>(id)));
+  }
+  it->second.finish_event =
+      sim_.schedule_at(t, simcore::EventTag{simcore::kTagJobFinish, id});
+  return util::Status::Ok();
 }
 
 // ----------------------------------------------------------------- probes

@@ -205,12 +205,16 @@ class ClusterEngine : public telemetry::BandwidthSource,
                                          workload::JobSpec>& specs,
                           uint64_t version);
   // Re-arm helpers: re-post one pending simulator event recorded in a
-  // snapshot manifest at its exact absolute time.
-  void rearm_arrival(double t, cluster::JobId id);
-  void rearm_finish(double t, cluster::JobId id);
-  void rearm_outage_fail(double t, cluster::NodeId node);
-  void rearm_outage_recover(double t, cluster::NodeId node);
-  void rearm_metrics_tick(double first);
+  // snapshot manifest at its exact absolute time (>= now, checked by the
+  // caller). Each validates its operands against the restored state and
+  // fails with kInvalidArgument instead of scheduling an event that could
+  // not dispatch: an arrival for an unknown job, a finish for a job that is
+  // not running (or already has one), an outage (kind kTagNodeFail or
+  // kTagNodeRecover) for a node outside the cluster, a second metrics tick.
+  util::Status rearm_arrival(double t, cluster::JobId id);
+  util::Status rearm_finish(double t, cluster::JobId id);
+  util::Status rearm_outage(double t, uint32_t kind, uint64_t node);
+  util::Status rearm_metrics_tick(double first);
 
   // Mutable registry access for host-layer counters (the service daemon
   // accounts snapshot/restore operations next to the engine's own metrics).

@@ -6,15 +6,15 @@
 
 namespace coda::simcore {
 
-void EventQueue::push_entry(Entry entry) {
+void EventQueue::push_entry(const Entry& entry) {
   ++pool_->live_;
-  route(std::move(entry));
+  route(entry);
 }
 
-void EventQueue::route(Entry&& entry) {
+void EventQueue::route(const Entry& entry) {
   if (epoch_active_) {
     if (entry.t < near_end_) {
-      near_.push_back(std::move(entry));
+      near_.push_back(entry);
       std::push_heap(near_.begin(), near_.end(), Later{});
       return;
     }
@@ -37,53 +37,39 @@ void EventQueue::route(Entry&& entry) {
                  far_base_ + static_cast<SimTime>(idx + 1) * far_width_) {
         ++idx;
       }
-      far_[idx].push_back(std::move(entry));
+      far_[idx].push_back(entry);
       return;
     }
   }
-  overflow_.push_back(std::move(entry));
+  overflow_.push_back(entry);
 }
 
-EventHandle EventQueue::push(SimTime t, EventFn fn, EventTag tag) {
+EventHandle EventQueue::push(SimTime t, const EventTag& tag) {
   const uint32_t slot = pool_->alloc();
   const uint64_t gen = pool_->generation(slot);
-  push_entry(Entry{t, next_seq_++, std::move(fn), slot, gen, tag});
+  push_entry(Entry{t, next_seq_++, gen, tag.a, tag.b, slot, tag.kind});
   return EventHandle(pool_, slot, gen);
 }
 
-void EventQueue::post(SimTime t, EventFn fn, EventTag tag) {
+void EventQueue::post(SimTime t, const EventTag& tag) {
   push_entry(
-      Entry{t, next_seq_++, std::move(fn), EventPool::kNoSlot, 0, tag});
+      Entry{t, next_seq_++, 0, tag.a, tag.b, EventPool::kNoSlot, tag.kind});
 }
 
-util::Status EventQueue::pending_events(std::vector<PendingEvent>* out) const {
+void EventQueue::pending_events(std::vector<PendingEvent>* out) const {
   const size_t first = out->size();
-  const auto append = [&](const std::vector<Entry>& entries) -> util::Status {
+  const auto append = [&](const std::vector<Entry>& entries) {
     for (const Entry& entry : entries) {
-      if (stale(entry)) {
-        continue;  // lazily-dropped cancel; never fires
+      if (!stale(entry)) {  // a stale entry is a lazily-dropped cancel
+        out->push_back(PendingEvent{entry.t, entry.seq, entry.tag()});
       }
-      if (entry.tag.kind == 0) {
-        return util::Error{
-            util::ErrorCode::kFailedPrecondition,
-            "live event at t=" + std::to_string(entry.t) +
-                " carries no EventTag; it cannot be re-armed from a snapshot"};
-      }
-      out->push_back(PendingEvent{entry.t, entry.seq, entry.tag});
     }
-    return util::Status::Ok();
   };
-  if (auto s = append(near_); !s.ok()) {
-    return s;
-  }
+  append(near_);
   for (const auto& bucket : far_) {
-    if (auto s = append(bucket); !s.ok()) {
-      return s;
-    }
+    append(bucket);
   }
-  if (auto s = append(overflow_); !s.ok()) {
-    return s;
-  }
+  append(overflow_);
   std::sort(out->begin() + static_cast<ptrdiff_t>(first), out->end(),
             [](const PendingEvent& a, const PendingEvent& b) {
               if (a.t != b.t) {
@@ -91,7 +77,35 @@ util::Status EventQueue::pending_events(std::vector<PendingEvent>* out) const {
               }
               return a.seq < b.seq;
             });
-  return util::Status::Ok();
+}
+
+size_t EventQueue::erase_kind(uint32_t kind) {
+  size_t dropped = 0;
+  const auto drop = [&](const Entry& entry) {
+    if (entry.kind != kind || stale(entry)) {
+      return false;
+    }
+    if (entry.slot != EventPool::kNoSlot) {
+      pool_->release(entry.slot);
+    }
+    --pool_->live_;
+    ++dropped;
+    return true;
+  };
+  const auto sweep = [&](std::vector<Entry>& entries) {
+    entries.erase(std::remove_if(entries.begin(), entries.end(), drop),
+                  entries.end());
+  };
+  sweep(near_);
+  std::make_heap(near_.begin(), near_.end(), Later{});
+  for (auto& bucket : far_) {
+    sweep(bucket);
+  }
+  sweep(overflow_);
+  if (pool_->live_ == 0) {
+    reset_structures();
+  }
+  return dropped;
 }
 
 void EventQueue::refill() {
@@ -113,9 +127,9 @@ void EventQueue::refill() {
       near_end_ =
           far_base_ + static_cast<SimTime>(far_cursor_ + 1) * far_width_;
       ++far_cursor_;
-      for (Entry& entry : bucket) {
+      for (const Entry& entry : bucket) {
         if (!stale(entry)) {
-          near_.push_back(std::move(entry));
+          near_.push_back(entry);
         }
       }
       bucket.clear();
@@ -150,8 +164,8 @@ void EventQueue::rebuild_epoch() {
   epoch_active_ = true;
   std::vector<Entry> pending;
   pending.swap(overflow_);
-  for (Entry& entry : pending) {
-    route(std::move(entry));
+  for (const Entry& entry : pending) {
+    route(entry);
   }
   CODA_ASSERT(overflow_.empty());  // the fresh ring must span every entry
 }
@@ -177,7 +191,7 @@ EventQueue::Popped EventQueue::pop() {
   CODA_ASSERT(pool_->live_ > 0);
   refill();
   std::pop_heap(near_.begin(), near_.end(), Later{});
-  Entry top = std::move(near_.back());
+  const Entry top = near_.back();
   near_.pop_back();
   if (top.slot != EventPool::kNoSlot) {
     // Recycle the control slot; the generation bump flips every handle for
@@ -190,7 +204,7 @@ EventQueue::Popped EventQueue::pop() {
     // the next batch of submissions sizes a fresh ring for its own span.
     reset_structures();
   }
-  return Popped{top.t, std::move(top.fn)};
+  return Popped{top.t, top.tag()};
 }
 
 }  // namespace coda::simcore

@@ -16,30 +16,27 @@
 // so equal-time events always land in the same structure and dispatch
 // order is identical to the single-heap implementation, event for event.
 //
-// Two scheduling paths exist: push() hands back an EventHandle backed by a
-// pooled generation slot (no per-event heap allocation in steady state),
-// while post() is for the common fire-and-forget case and allocates no
-// per-event state beyond the functor itself.
+// Entries are plain data — (t, seq, slot, gen, tag) — with no callable
+// attached: the Simulator dispatches each popped tag through its per-kind
+// handler table. Two scheduling paths exist: push() hands back an
+// EventHandle backed by a pooled generation slot (no per-event heap
+// allocation in steady state), while post() is for events that always
+// fire and claims no slot.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
-
-#include "util/result.h"
 
 namespace coda::simcore {
 
 using SimTime = double;  // simulated seconds since experiment start
 
-using EventFn = std::function<void()>;
-
-// Identity of a scheduled event, carried alongside the callback so a live
-// session can be snapshotted: callbacks cannot be serialized, but a
-// (kind, a, b) triple plus the fire time is enough for the owning layer to
-// re-create the exact closure on restore (the re-arm manifest). kind 0
-// means untagged; see simcore/event_tags.h for the kind registry.
+// What a scheduled event is: the handler kind plus two operands (a job or
+// node id, a generation). The tag is the whole event — dispatch looks the
+// kind up in the Simulator's handler table — so a (t, kind, a, b) line in a
+// snapshot's re-arm manifest re-creates it exactly. See simcore/event_tags.h
+// for the kind registry.
 struct EventTag {
   uint32_t kind = 0;
   uint64_t a = 0;
@@ -131,61 +128,53 @@ class EventPool {
   size_t live_ = 0;  // live events in the owning queue, pooled or post()ed
 };
 
-// Handle to a scheduled event; lets callers cancel it before it fires.
-// Copyable; all copies refer to the same scheduled event. Two backings
-// exist: pooled (queue push — slot index + generation into the shared
-// EventPool) and a plain shared flag (the Simulator's periodic ticks,
-// which manage their own liveness).
+// Handle to a pushed event (slot index + generation into the shared
+// EventPool); lets callers cancel it before it fires. Copyable; all copies
+// refer to the same scheduled event. A default-constructed handle is never
+// pending.
 class EventHandle {
  public:
   EventHandle() = default;
 
   // True while the event is scheduled and not yet fired/cancelled.
-  bool pending() const {
-    if (pool_) {
-      return pool_->generation(idx_) == gen_;
-    }
-    return state_ && !*state_;
-  }
+  bool pending() const { return pool_ && pool_->generation(idx_) == gen_; }
 
   // Cancels the event if still pending; no-op otherwise.
   void cancel() {
     if (pool_) {
       pool_->cancel(idx_, gen_);
-    } else if (state_ && !*state_) {
-      *state_ = true;
     }
   }
 
  private:
   friend class EventQueue;
-  friend class Simulator;
-  explicit EventHandle(std::shared_ptr<bool> state)
-      : state_(std::move(state)) {}
   EventHandle(std::shared_ptr<EventPool> pool, uint32_t idx, uint64_t gen)
       : pool_(std::move(pool)), idx_(idx), gen_(gen) {}
 
-  std::shared_ptr<bool> state_;      // periodic ticks: true once cancelled
-  std::shared_ptr<EventPool> pool_;  // pushed events: generation slot pool
+  std::shared_ptr<EventPool> pool_;
   uint32_t idx_ = EventPool::kNoSlot;
   uint64_t gen_ = 0;
 };
 
 class EventQueue {
  public:
-  // Enqueues `fn` at simulated time `t`. Times may be scheduled in any order
-  // but must not precede the last popped time (checked by the Simulator).
-  EventHandle push(SimTime t, EventFn fn, EventTag tag = {});
+  // Enqueues `tag` at simulated time `t`. Times may be scheduled in any
+  // order but must not precede the last popped time (checked by the
+  // Simulator).
+  EventHandle push(SimTime t, const EventTag& tag);
 
-  // Enqueues `fn` at `t` with no cancellation handle: the event will fire
+  // Enqueues `tag` at `t` with no cancellation handle: the event will fire
   // exactly once. Avoids claiming a control slot.
-  void post(SimTime t, EventFn fn, EventTag tag = {});
+  void post(SimTime t, const EventTag& tag);
 
   // Appends every live (non-cancelled) entry to `out` in dispatch order
-  // ((t, seq) ascending). Fails with kFailedPrecondition when any live
-  // entry is untagged — such an event cannot be re-armed from a snapshot,
-  // and dropping it silently would corrupt the restored session.
-  util::Status pending_events(std::vector<PendingEvent>* out) const;
+  // ((t, seq) ascending).
+  void pending_events(std::vector<PendingEvent>* out) const;
+
+  // Drops every live entry of `kind` (pushed ones release their slots).
+  // O(queued entries); for rare structural changes such as stopping a
+  // periodic chain. Returns the number dropped.
+  size_t erase_kind(uint32_t kind);
 
   // True when no live (non-cancelled) events remain.
   bool empty() const { return pool_->live_ == 0; }
@@ -196,7 +185,7 @@ class EventQueue {
   // Pops and returns the earliest live event; requires !empty().
   struct Popped {
     SimTime t;
-    EventFn fn;
+    EventTag tag;
   };
   Popped pop();
 
@@ -207,13 +196,16 @@ class EventQueue {
   EventPool::Stats pool_stats() const { return pool_->stats(); }
 
  private:
+  // The tag's fields are stored flat so the entry packs into 48 bytes.
   struct Entry {
     SimTime t;
     uint64_t seq;
-    EventFn fn;
-    uint32_t slot;  // EventPool::kNoSlot for post()ed events
     uint64_t gen;   // pool generation at push time
-    EventTag tag;
+    uint64_t a;     // tag operands
+    uint64_t b;
+    uint32_t slot;  // EventPool::kNoSlot for post()ed events
+    uint32_t kind;  // tag kind
+    EventTag tag() const { return EventTag{kind, a, b}; }
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -233,9 +225,9 @@ class EventQueue {
 
   static constexpr size_t kFarBuckets = 256;
 
-  void push_entry(Entry entry);
+  void push_entry(const Entry& entry);
   // Files an entry into near heap / far ring / overflow by its time.
-  void route(Entry&& entry);
+  void route(const Entry& entry);
   // Ensures the near heap's top is the earliest live event, migrating far
   // buckets (and re-seeding the epoch from overflow) as needed. Requires a
   // live event to exist.

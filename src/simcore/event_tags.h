@@ -1,11 +1,10 @@
 // Registry of EventTag.kind values used across the simulation layers.
 //
-// The queue itself treats tags as opaque; the values live here (the one
-// header every tagging layer already includes) so the snapshot subsystem's
-// re-arm manifest has a single enumeration to dispatch on. Every event a
-// live session may have pending at a snapshot point MUST carry one of
-// these kinds — state::capture_snapshot fails loudly on an untagged live
-// event rather than silently dropping it from the manifest.
+// Each kind has exactly one handler in the Simulator's table, registered by
+// the layer that owns it (the engine constructor, Scheduler::attach,
+// CodaScheduler::attach). The values live here so the snapshot subsystem's
+// re-arm manifest has a single enumeration to dispatch on. Kind 0 is
+// unused.
 #pragma once
 
 #include <cstdint>
@@ -13,15 +12,14 @@
 namespace coda::simcore {
 
 enum EventTagKind : uint32_t {
-  kTagNone = 0,            // untagged (post()/push() without a tag)
   kTagArrival = 1,         // a = job id (engine arrival)
   kTagJobFinish = 2,       // a = job id (engine finish event)
   kTagNodeFail = 3,        // a = node id (scheduled outage start)
   kTagNodeRecover = 4,     // a = node id (scheduled outage end)
-  kTagMetricsTick = 5,     // engine metrics-sampling periodic
+  kTagMetricsTick = 5,     // engine metrics-sampling periodic kind
   kTagRetryResubmit = 6,   // a = job id (scheduler retry backoff)
-  kTagEliminatorTick = 7,  // CODA eliminator check periodic
-  kTagReservationTick = 8, // CODA reservation-update periodic
+  kTagEliminatorTick = 7,  // CODA eliminator check periodic kind
+  kTagReservationTick = 8, // CODA reservation-update periodic kind
   kTagTuningTick = 9,      // a = job id, b = tuning generation
 };
 

@@ -1,70 +1,59 @@
 #include "simcore/simulator.h"
 
 #include <limits>
-#include <memory>
 
 #include "util/assert.h"
 
 namespace coda::simcore {
 
-EventHandle Simulator::schedule_at(SimTime t, EventFn fn, EventTag tag) {
+void Simulator::set_handler(uint32_t kind, EventHandler handler) {
+  if (kind >= kinds_.size()) {
+    kinds_.resize(kind + 1);
+  }
+  kinds_[kind].handler = std::move(handler);
+}
+
+void Simulator::check_one_shot(SimTime t, const EventTag& tag) const {
   CODA_ASSERT_MSG(t >= now_, "cannot schedule an event in the simulated past");
-  return queue_.push(t, std::move(fn), tag);
+  CODA_ASSERT_MSG(has_handler(tag.kind), "event kind has no handler");
+  CODA_ASSERT_MSG(!periodic_running(tag.kind),
+                  "one-shot event of a running periodic kind");
 }
 
-EventHandle Simulator::schedule_after(SimTime delay, EventFn fn,
-                                      EventTag tag) {
+EventHandle Simulator::schedule_at(SimTime t, const EventTag& tag) {
+  check_one_shot(t, tag);
+  return queue_.push(t, tag);
+}
+
+EventHandle Simulator::schedule_after(SimTime delay, const EventTag& tag) {
   CODA_ASSERT(delay >= 0.0);
-  return queue_.push(now_ + delay, std::move(fn), tag);
+  return schedule_at(now_ + delay, tag);
 }
 
-void Simulator::post_at(SimTime t, EventFn fn, EventTag tag) {
-  CODA_ASSERT_MSG(t >= now_, "cannot schedule an event in the simulated past");
-  queue_.post(t, std::move(fn), tag);
+void Simulator::post_at(SimTime t, const EventTag& tag) {
+  check_one_shot(t, tag);
+  queue_.post(t, tag);
 }
 
-void Simulator::post_after(SimTime delay, EventFn fn, EventTag tag) {
+void Simulator::post_after(SimTime delay, const EventTag& tag) {
   CODA_ASSERT(delay >= 0.0);
-  queue_.post(now_ + delay, std::move(fn), tag);
+  post_at(now_ + delay, tag);
 }
 
-EventHandle Simulator::schedule_periodic(SimTime period, EventFn fn,
-                                         EventTag tag) {
-  return schedule_periodic_at(now_ + period, period, std::move(fn), tag);
-}
-
-EventHandle Simulator::schedule_periodic_at(SimTime first, SimTime period,
-                                            EventFn fn, EventTag tag) {
+void Simulator::start_periodic(SimTime first, SimTime period,
+                               const EventTag& tag) {
   CODA_ASSERT(period > 0.0);
-  CODA_ASSERT_MSG(first >= now_,
-                  "cannot schedule an event in the simulated past");
-  // The chain re-arms itself after each tick: the queued closure owns the
-  // shared state and enqueues a copy of itself, so exactly one link is alive
-  // at a time and destroying the queue frees the chain (a lambda capturing a
-  // shared_ptr to its own std::function would cycle and leak). One shared
-  // `dead` flag stops the whole chain: EventHandle::cancel() sets it, and
-  // the next tick bails out without re-arming. The tag rides along on every
-  // re-post so the whole chain stays visible to pending_events().
-  auto dead = std::make_shared<bool>(false);
-  auto user_fn = std::make_shared<EventFn>(std::move(fn));
-  struct Tick {
-    Simulator* sim;
-    std::shared_ptr<bool> dead;
-    std::shared_ptr<EventFn> user_fn;
-    SimTime period;
-    EventTag tag;
-    void operator()() const {
-      if (*dead) {
-        return;
-      }
-      (*user_fn)();
-      if (!*dead) {
-        sim->queue_.post(sim->now_ + period, Tick{*this}, tag);
-      }
-    }
-  };
-  queue_.post(first, Tick{this, dead, user_fn, period, tag}, tag);
-  return EventHandle(std::move(dead));
+  check_one_shot(first, tag);
+  kinds_[tag.kind].period = period;
+  queue_.post(first, tag);
+}
+
+void Simulator::stop_periodic(uint32_t kind) {
+  if (!periodic_running(kind)) {
+    return;
+  }
+  kinds_[kind].period = 0.0;
+  queue_.erase_kind(kind);
 }
 
 void Simulator::restore_clock(SimTime now, size_t dispatched) {
@@ -83,10 +72,17 @@ SimTime Simulator::next_event_time() {
 size_t Simulator::run_until(SimTime until) {
   size_t n = 0;
   while (!queue_.empty() && queue_.next_time() <= until) {
-    auto [t, fn] = queue_.pop();
-    CODA_ASSERT(t >= now_);
-    now_ = t;
-    fn();
+    const EventQueue::Popped ev = queue_.pop();
+    CODA_ASSERT(ev.t >= now_);
+    now_ = ev.t;
+    CODA_ASSERT_MSG(has_handler(ev.tag.kind), "event kind has no handler");
+    kinds_[ev.tag.kind].handler(ev.tag);
+    // Re-read the table: the handler may have registered kinds (growing
+    // it) or stopped its own chain.
+    const SimTime period = kinds_[ev.tag.kind].period;
+    if (period > 0.0) {
+      queue_.post(now_ + period, ev.tag);
+    }
     ++n;
     ++dispatched_;
     if (post_dispatch_) {

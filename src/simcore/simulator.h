@@ -1,15 +1,21 @@
 // Discrete-event simulator driving all CODA experiments.
 //
-// The simulator owns the clock and the event queue. Components schedule
-// callbacks at absolute or relative simulated times; run() dispatches them in
-// (time, insertion) order until the queue drains or a time limit is hit.
+// The simulator owns the clock, the event queue and a per-kind handler
+// table. Events are plain data (an EventTag at a time): components register
+// one handler per kind they own, then schedule tags at absolute or relative
+// simulated times; run() pops them in (time, insertion) order and calls the
+// kind's handler, until the queue drains or a time limit is hit.
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "simcore/event_queue.h"
 
 namespace coda::simcore {
+
+// Runs one dispatched event; the tag carries the event's operands.
+using EventHandler = std::function<void(const EventTag&)>;
 
 class Simulator {
  public:
@@ -17,41 +23,48 @@ class Simulator {
   // non-decreasing across event dispatches.
   SimTime now() const { return now_; }
 
-  // Schedules `fn` at absolute time `t`; t must be >= now(). The optional
-  // tag identifies the event in a snapshot's re-arm manifest (see
-  // simcore/event_tags.h); untagged events make pending_events() fail.
-  EventHandle schedule_at(SimTime t, EventFn fn, EventTag tag = {});
+  // Installs the handler for `kind`. A later registration for the same kind
+  // replaces the earlier one (a forwarding scheduler attaches its inner
+  // scheduler after itself, and the inner one must win). Not callable from
+  // inside a handler of the same kind.
+  void set_handler(uint32_t kind, EventHandler handler);
 
-  // Schedules `fn` after `delay` (>= 0) seconds of simulated time.
-  EventHandle schedule_after(SimTime delay, EventFn fn, EventTag tag = {});
+  // Schedules `tag` at absolute time `t` (>= now()). The kind must have a
+  // registered handler. The handle cancels the event before it fires.
+  EventHandle schedule_at(SimTime t, const EventTag& tag);
 
-  // Fire-and-forget variants: no cancellation handle, no per-event
-  // control-block allocation. Use for events that always run (arrivals,
-  // metric ticks).
-  void post_at(SimTime t, EventFn fn, EventTag tag = {});
-  void post_after(SimTime delay, EventFn fn, EventTag tag = {});
+  // Schedules `tag` after `delay` (>= 0) seconds of simulated time.
+  EventHandle schedule_after(SimTime delay, const EventTag& tag);
 
-  // Schedules `fn` every `period` seconds starting at now() + period, until
-  // the returned handle is cancelled or the run ends. The callback observes
-  // the tick time via Simulator::now().
-  //
-  // The returned handle cancels the *whole* periodic chain, not just the
-  // next tick.
-  EventHandle schedule_periodic(SimTime period, EventFn fn,
-                                EventTag tag = {});
+  // Fire-and-forget variants: no cancellation handle and no pooled control
+  // slot. Use for events that always run (arrivals, outages, retries).
+  void post_at(SimTime t, const EventTag& tag);
+  void post_after(SimTime delay, const EventTag& tag);
 
-  // Periodic chain whose FIRST tick fires at the absolute time `first`
-  // (>= now()), then every `period` seconds after. The snapshot restore
-  // path re-arms an in-flight periodic with this: the serialized pending
-  // tick's time becomes `first`, so the restored chain ticks at the exact
-  // instants the original would have.
-  EventHandle schedule_periodic_at(SimTime first, SimTime period, EventFn fn,
-                                   EventTag tag = {});
+  // Starts a periodic chain of `tag`: the first tick fires at the absolute
+  // time `first` (>= now()), then every `period` seconds. After each tick's
+  // handler returns, the simulator re-posts the tag one period later — so
+  // the re-post comes after any event the handler posted at the same
+  // instant. The snapshot restore path re-arms an in-flight periodic with
+  // the serialized pending tick's time as `first`, so the restored chain
+  // ticks at the exact instants the original would have. At most one chain
+  // per kind, and a periodic kind takes no one-shot events while its chain
+  // runs.
+  void start_periodic(SimTime first, SimTime period, const EventTag& tag);
 
-  // Appends every live event to `out` in dispatch order; fails when a live
-  // event is untagged (see EventQueue::pending_events).
-  util::Status pending_events(std::vector<PendingEvent>* out) const {
-    return queue_.pending_events(out);
+  // Ends the chain of `kind`: its queued tick is dropped (or, when called
+  // from the tick's own handler, no re-post happens). No-op when no chain
+  // of that kind runs.
+  void stop_periodic(uint32_t kind);
+
+  // Whether a periodic chain of `kind` is running.
+  bool periodic_running(uint32_t kind) const {
+    return kind < kinds_.size() && kinds_[kind].period > 0.0;
+  }
+
+  // Appends every live event to `out` in dispatch order.
+  void pending_events(std::vector<PendingEvent>* out) const {
+    queue_.pending_events(out);
   }
 
   // Snapshot restore: force the clock and the dispatch counter to the
@@ -87,13 +100,28 @@ class Simulator {
   // dirty-node set exactly once per dispatch: all mutations an event makes
   // happen at one simulated instant, so batching their recomputes here is
   // observationally identical to recomputing eagerly. Pass nullptr to clear.
-  void set_post_dispatch(EventFn fn) { post_dispatch_ = std::move(fn); }
+  void set_post_dispatch(std::function<void()> fn) {
+    post_dispatch_ = std::move(fn);
+  }
 
  private:
+  struct Kind {
+    EventHandler handler;
+    SimTime period = 0.0;  // > 0 while a periodic chain of this kind runs
+  };
+
+  bool has_handler(uint32_t kind) const {
+    return kind < kinds_.size() && kinds_[kind].handler != nullptr;
+  }
+  // Checks a one-shot schedule request: not in the past, a handled kind,
+  // and not a kind whose periodic chain is running.
+  void check_one_shot(SimTime t, const EventTag& tag) const;
+
   SimTime now_ = 0.0;
   EventQueue queue_;
   size_t dispatched_ = 0;
-  EventFn post_dispatch_;
+  std::vector<Kind> kinds_;  // indexed by EventTag::kind
+  std::function<void()> post_dispatch_;
 };
 
 }  // namespace coda::simcore

@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "util/strings.h"
 
@@ -183,6 +185,16 @@ int64_t Reader::i64() {
     return 0;
   }
   return value;
+}
+
+int Reader::i32() {
+  const int64_t value = i64();
+  if (!failed_ && (value < std::numeric_limits<int>::min() ||
+                   value > std::numeric_limits<int>::max())) {
+    fail("int token " + std::to_string(value) + " out of range");
+    return 0;
+  }
+  return static_cast<int>(value);
 }
 
 bool Reader::b() {

@@ -95,7 +95,8 @@ class Reader {
   double f64();
   uint64_t u64();
   int64_t i64();
-  int i32() { return static_cast<int>(i64()); }
+  // An i64 token outside int's range poisons the reader.
+  int i32();
   bool b();
   std::string_view token();
 

@@ -31,12 +31,8 @@ util::Result<std::string> capture_snapshot(const SnapshotMeta& meta,
                                            std::string_view session_text,
                                            const sim::ClusterEngine& engine,
                                            const sched::Scheduler& scheduler) {
-  // Collect the manifest first: an untagged live event fails the capture
-  // before any serialization work happens.
   std::vector<simcore::PendingEvent> pending;
-  if (auto status = engine.sim().pending_events(&pending); !status.ok()) {
-    return status.error();
-  }
+  engine.sim().pending_events(&pending);
 
   Writer w;
   w.line("CODA_SNAPSHOT", kSnapshotVersion);
@@ -127,27 +123,32 @@ util::Result<RestoredSession> restore_session(
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
     r.expect("event");
     const double t = r.f64();
-    const uint32_t kind = static_cast<uint32_t>(r.u64());
+    const uint64_t kind = r.u64();
     const uint64_t a = r.u64();
     const uint64_t b = r.u64();
     if (!r.ok()) {
       break;
     }
+    // An entry that could not dispatch is a corrupt snapshot, not a crash:
+    // each check below fails the restore with the entry's line number.
+    if (!(t >= snapshot.meta.virtual_time)) {
+      r.fail("manifest event before the snapshot's virtual time");
+      break;
+    }
+    util::Status armed = util::Status::Ok();
     switch (kind) {
       case simcore::kTagArrival:
-        out.engine->rearm_arrival(t, a);
+        armed = out.engine->rearm_arrival(t, a);
         break;
       case simcore::kTagJobFinish:
-        out.engine->rearm_finish(t, a);
+        armed = out.engine->rearm_finish(t, a);
         break;
       case simcore::kTagNodeFail:
-        out.engine->rearm_outage_fail(t, static_cast<cluster::NodeId>(a));
-        break;
       case simcore::kTagNodeRecover:
-        out.engine->rearm_outage_recover(t, static_cast<cluster::NodeId>(a));
+        armed = out.engine->rearm_outage(t, static_cast<uint32_t>(kind), a);
         break;
       case simcore::kTagMetricsTick:
-        out.engine->rearm_metrics_tick(t);
+        armed = out.engine->rearm_metrics_tick(t);
         break;
       case simcore::kTagRetryResubmit: {
         auto it = specs.find(a);
@@ -155,7 +156,7 @@ util::Result<RestoredSession> restore_session(
           r.fail("retry manifest entry references an unknown job");
           break;
         }
-        out.scheduler.scheduler->rearm_retry(t, it->second);
+        armed = out.scheduler.scheduler->rearm_retry(t, it->second);
         break;
       }
       case simcore::kTagEliminatorTick:
@@ -166,9 +167,9 @@ util::Result<RestoredSession> restore_session(
           break;
         }
         if (kind == simcore::kTagEliminatorTick) {
-          out.scheduler.coda->rearm_eliminator_tick(t);
+          armed = out.scheduler.coda->rearm_eliminator_tick(t);
         } else if (kind == simcore::kTagReservationTick) {
-          out.scheduler.coda->rearm_reservation_tick(t);
+          armed = out.scheduler.coda->rearm_reservation_tick(t);
         } else {
           out.scheduler.coda->rearm_tuning_tick(t, a, b);
         }
@@ -177,6 +178,9 @@ util::Result<RestoredSession> restore_session(
         r.fail("manifest entry with unknown event kind " +
                std::to_string(kind));
         break;
+    }
+    if (!armed.ok()) {
+      r.fail(armed.error().message);
     }
   }
   r.expect("END");

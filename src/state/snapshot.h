@@ -18,9 +18,10 @@
 //   event <t hexfloat> <kind> <a> <b>     (n rows, (t, seq) ascending)
 //   END
 //
-// Pending simulator events are never serialized as callbacks: each live
-// event's (time, tag) pair goes into the manifest and restore_session
-// re-creates the exact closure through the owning layer's rearm_* helper.
+// Pending simulator events are plain data: each live event's (time, tag)
+// pair goes into the manifest and restore_session re-posts it through the
+// owning layer's rearm_* helper, which validates it against the restored
+// state (a corrupt entry fails the restore instead of aborting it).
 // Re-posting in manifest order reproduces the relative dispatch order of
 // time ties (fresh insertion sequences ascend with the manifest).
 #pragma once
@@ -61,9 +62,8 @@ struct Snapshot {
 };
 
 // Serializes a quiescent live session (no event mid-dispatch; the engine
-// flushes its own dirty state). Fails with kFailedPrecondition when a live
-// pending event carries no tag — such an event cannot be re-armed, and
-// dropping it silently would corrupt the restored session.
+// flushes its own dirty state). Every pending event is plain data, so the
+// manifest is a copy of the queue's live entries.
 util::Result<std::string> capture_snapshot(const SnapshotMeta& meta,
                                            std::string_view session_text,
                                            const sim::ClusterEngine& engine,

@@ -29,6 +29,17 @@ const std::vector<ConfigChoice>& config_mix() {
   return kMix;
 }
 
+const std::vector<double>& config_weights() {
+  static const std::vector<double> kWeights = [] {
+    std::vector<double> w;
+    for (const auto& choice : config_mix()) {
+      w.push_back(choice.weight);
+    }
+    return w;
+  }();
+  return kWeights;
+}
+
 }  // namespace
 
 TraceConfig scale_profile(int nodes, int gpu_jobs, int cpu_jobs,
@@ -78,7 +89,8 @@ std::vector<double> TraceGenerator::arrival_times(util::Rng& rng, int count,
 }
 
 JobSpec TraceGenerator::make_gpu_job(util::Rng& rng, const Tenant& tenant,
-                                     double submit) const {
+                                     double submit,
+                                     const perfmodel::TrainPerf& perf) const {
   JobSpec spec;
   spec.kind = JobKind::kGpuTraining;
   spec.tenant = tenant.id;
@@ -90,11 +102,7 @@ JobSpec TraceGenerator::make_gpu_job(util::Rng& rng, const Tenant& tenant,
                              tenant.preferred_models.size()) - 1))];
 
   // Training configuration and batch size.
-  std::vector<double> weights;
-  for (const auto& choice : config_mix()) {
-    weights.push_back(choice.weight);
-  }
-  spec.train_config = config_mix()[rng.weighted_index(weights)].config;
+  spec.train_config = config_mix()[rng.weighted_index(config_weights())].config;
   // Scale-profile override, gated so the default (fraction 0) draws nothing
   // from the stream and stock traces reproduce bit for bit.
   if (config_.wide_span_fraction > 0.0 &&
@@ -124,7 +132,6 @@ JobSpec TraceGenerator::make_gpu_job(util::Rng& rng, const Tenant& tenant,
   const double runtime = std::clamp(
       rng.lognormal(config_.gpu_runtime_mu, config_.gpu_runtime_sigma),
       300.0, 48.0 * 3600.0);
-  perfmodel::TrainPerf perf;
   const int opt = perf.optimal_cores(spec.model, spec.train_config);
   spec.iterations =
       std::max(1.0, runtime / perf.iter_time(spec.model, spec.train_config,
@@ -213,6 +220,10 @@ std::vector<JobSpec> TraceGenerator::generate() const {
     cpu_weights.push_back(cw);
   }
 
+  // One memoized perf model for the whole trace: a warm memo returns the
+  // same bits a fresh model computes, and GPU jobs share a few dozen
+  // (model, config) pairs.
+  const perfmodel::TrainPerf perf;
   std::vector<JobSpec> trace;
   trace.reserve(static_cast<size_t>(config_.cpu_jobs + config_.gpu_jobs));
 
@@ -221,7 +232,7 @@ std::vector<JobSpec> TraceGenerator::generate() const {
                                 /*diurnal=*/false)) {
     const auto& tenant =
         config_.tenants[tenant_rng.weighted_index(gpu_weights)];
-    trace.push_back(make_gpu_job(gpu_rng, tenant, t));
+    trace.push_back(make_gpu_job(gpu_rng, tenant, t, perf));
   }
   for (double t : arrival_times(arrivals_rng, config_.cpu_jobs,
                                 /*diurnal=*/true)) {
@@ -240,15 +251,16 @@ std::vector<JobSpec> TraceGenerator::generate() const {
   return trace;
 }
 
-double TraceGenerator::ideal_gpu_runtime(const JobSpec& spec) {
+double TraceGenerator::ideal_gpu_runtime(const JobSpec& spec,
+                                         const perfmodel::TrainPerf& perf) {
   CODA_ASSERT(spec.is_gpu_job());
-  perfmodel::TrainPerf perf;
   const int opt = perf.optimal_cores(spec.model, spec.train_config);
   return spec.iterations * perf.iter_time(spec.model, spec.train_config, opt);
 }
 
 TraceSummary TraceGenerator::summarize(const std::vector<JobSpec>& trace) {
   TraceSummary s;
+  const perfmodel::TrainPerf perf;
   int req12 = 0;
   int req_gt10 = 0;
   int gt1h = 0;
@@ -268,7 +280,7 @@ TraceSummary TraceGenerator::summarize(const std::vector<JobSpec>& trace) {
       if (spec.requested_cpus > 10) {
         ++req_gt10;
       }
-      const double runtime = ideal_gpu_runtime(spec);
+      const double runtime = ideal_gpu_runtime(spec, perf);
       if (runtime > 3600.0) {
         ++gt1h;
       }

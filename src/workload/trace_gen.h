@@ -18,6 +18,10 @@
 #include "workload/job.h"
 #include "workload/tenant.h"
 
+namespace coda::perfmodel {
+class TrainPerf;
+}  // namespace coda::perfmodel
+
 namespace coda::workload {
 
 struct TraceConfig {
@@ -109,15 +113,17 @@ class TraceGenerator {
   std::vector<JobSpec> generate() const;
 
   // Ideal runtime (seconds at the optimal allocation, no contention) that a
-  // GPU job's iteration count was derived from.
-  static double ideal_gpu_runtime(const JobSpec& spec);
+  // GPU job's iteration count was derived from, evaluated with `perf`
+  // (pass one model across many calls: its memo makes repeats cheap).
+  static double ideal_gpu_runtime(const JobSpec& spec,
+                                  const perfmodel::TrainPerf& perf);
 
   // Descriptive statistics of a trace.
   static TraceSummary summarize(const std::vector<JobSpec>& trace);
 
  private:
-  JobSpec make_gpu_job(util::Rng& rng, const Tenant& tenant,
-                       double submit) const;
+  JobSpec make_gpu_job(util::Rng& rng, const Tenant& tenant, double submit,
+                       const perfmodel::TrainPerf& perf) const;
   JobSpec make_cpu_job(util::Rng& rng, const Tenant& tenant,
                        double submit) const;
 

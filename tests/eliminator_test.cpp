@@ -29,7 +29,7 @@ class ProbeScheduler : public sched::Scheduler {
   sched::SchedulerEnv& env() { return env_; }
 };
 
-struct Rig {
+struct Rig : ExpectedUtilSource {
   explicit Rig(bool mba_capable, bool record_events = false)
       : probe(), engine(make_config(mba_capable, record_events), &probe) {}
 
@@ -67,6 +67,9 @@ struct Rig {
   double expected_util(cluster::JobId job) const {
     return engine.expected_gpu_utilization(job);
   }
+  double expected_utilization(cluster::JobId job) const override {
+    return expected_util(job);
+  }
 
   ProbeScheduler probe;
   sim::ClusterEngine engine;
@@ -79,7 +82,7 @@ TEST(Eliminator, ThrottlesWithMbaWhenAvailable) {
   EXPECT_LT(before, rig.expected_util(1) * 0.97);  // genuinely suffering
 
   ContentionEliminator elim(EliminatorConfig{}, &rig.probe.env());
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   EXPECT_EQ(elim.stats().mba_throttles, 1);
   EXPECT_EQ(elim.stats().core_halvings, 0);
   rig.engine.run_until(2.0);
@@ -90,7 +93,7 @@ TEST(Eliminator, HalvesCoresWithoutMba) {
   Rig rig(/*mba_capable=*/false);
   rig.place_contended_pair();
   ContentionEliminator elim(EliminatorConfig{}, &rig.probe.env());
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   EXPECT_EQ(elim.stats().mba_throttles, 0);
   EXPECT_EQ(elim.stats().core_halvings, 1);
   // The CPU job now holds half the cores.
@@ -108,7 +111,7 @@ TEST(Eliminator, ResizeCallbackFires) {
         resized = job;
         new_cores = cores;
       });
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   EXPECT_EQ(resized, 2u);
   EXPECT_EQ(new_cores, 8);
 }
@@ -117,7 +120,7 @@ TEST(Eliminator, IdleNodeBelowThresholdUntouched) {
   Rig rig(/*mba_capable=*/true);
   rig.place_contended_pair(/*heat_threads=*/4);  // 32 GB/s, far below 75%
   ContentionEliminator elim(EliminatorConfig{}, &rig.probe.env());
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   EXPECT_EQ(elim.stats().mba_throttles, 0);
   EXPECT_EQ(elim.stats().core_halvings, 0);
   EXPECT_EQ(elim.stats().nodes_over_threshold, 0);
@@ -149,7 +152,7 @@ TEST(Eliminator, NoActionWithoutGpuUtilizationDrop) {
   // 15 x 8 = 120 GB/s > 112.5 threshold, but Inception's util barely moves.
   EXPECT_GT(rig.probe.env().bandwidth->sample(0).pressure(), 0.75);
   ContentionEliminator elim(EliminatorConfig{}, &rig.probe.env());
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   EXPECT_EQ(elim.stats().mba_throttles, 0);
   EXPECT_EQ(elim.stats().core_halvings, 0);
 }
@@ -185,7 +188,7 @@ TEST(Eliminator, UserFacingInferenceIsNeverThrottled) {
   ContentionEliminator elim(
       EliminatorConfig{}, &rig.probe.env(), nullptr,
       [](cluster::JobId job) { return job == 2; });
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   EXPECT_GE(elim.stats().mba_throttles, 1);
   // Only the batch hog was capped; clearing job 3's caps restores pressure,
   // proving job 2 holds none.
@@ -211,13 +214,13 @@ TEST(Eliminator, ReleaseRestoresCapsWhenPressureSubsides) {
   EliminatorConfig cfg;
   cfg.release_when_calm = true;
   ContentionEliminator elim(cfg, &rig.probe.env());
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   ASSERT_GE(elim.stats().mba_throttles, 1);
 
   // The second hog leaves; pressure collapses; caps come off.
   ASSERT_TRUE(rig.probe.env().preempt_job(3, false).ok());
   rig.engine.run_until(3.0);
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   EXPECT_GE(elim.stats().releases, 1);
   rig.engine.run_until(4.0);
   // The surviving hog runs unthrottled again (~80 GB/s + trainer).
@@ -232,13 +235,13 @@ TEST(Eliminator, ReleaseGuardsAgainstOscillation) {
   EliminatorConfig cfg;
   cfg.release_when_calm = true;
   ContentionEliminator elim(cfg, &rig.probe.env());
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   ASSERT_EQ(elim.stats().mba_throttles, 1);
   // Pressure is now ~0.44, below the release threshold — but restoring
   // would bounce straight back over 0.75.
   for (int i = 0; i < 5; ++i) {
     rig.engine.run_until(2.0 + i);
-    elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+    elim.check_all(rig);
   }
   EXPECT_EQ(elim.stats().releases, 0);
   EXPECT_EQ(elim.stats().mba_throttles, 1);  // no re-throttle churn either
@@ -251,7 +254,7 @@ TEST(Eliminator, ForgetJobClearsLiveMbaCap) {
   Rig rig(/*mba_capable=*/true);
   rig.place_contended_pair();
   ContentionEliminator elim(EliminatorConfig{}, &rig.probe.env());
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   ASSERT_EQ(elim.stats().mba_throttles, 1);
   ASSERT_TRUE(elim.is_throttled(2));
 
@@ -269,7 +272,7 @@ TEST(Eliminator, ForgetAfterEngineStopEmitsNoSpuriousClear) {
   Rig rig(/*mba_capable=*/true, /*record_events=*/true);
   rig.place_contended_pair();
   ContentionEliminator elim(EliminatorConfig{}, &rig.probe.env());
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   ASSERT_TRUE(elim.is_throttled(2));
 
   ASSERT_TRUE(rig.probe.env().preempt_job(2, /*keep_progress=*/false).ok());
@@ -303,7 +306,7 @@ TEST(Eliminator, ReleaseProjectionScalesHalvedCoresBack) {
   cfg.release_when_calm = true;
   ContentionEliminator elim(cfg, &rig.probe.env());
   // 80 + 80 + trainer >> 112.5: both hogs are halved to 5 cores.
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   ASSERT_EQ(elim.stats().core_halvings, 2);
   ASSERT_EQ(rig.engine.cluster().node(0).allocation_of(2)->cpus, 5);
 
@@ -312,7 +315,7 @@ TEST(Eliminator, ReleaseProjectionScalesHalvedCoresBack) {
   // ~2 x 40/150 and cross the 0.75 trigger again, so it must stay halved.
   ASSERT_TRUE(rig.probe.env().preempt_job(3, false).ok());
   rig.engine.run_until(3.0);
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   EXPECT_EQ(elim.stats().releases, 0);
   EXPECT_TRUE(elim.is_throttled(2));
   EXPECT_EQ(rig.engine.cluster().node(0).allocation_of(2)->cpus, 5);
@@ -324,7 +327,7 @@ TEST(Eliminator, DisabledDoesNothing) {
   EliminatorConfig cfg;
   cfg.enabled = false;
   ContentionEliminator elim(cfg, &rig.probe.env());
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   EXPECT_EQ(elim.stats().checks, 0);
   EXPECT_EQ(elim.stats().mba_throttles, 0);
 }
@@ -335,7 +338,7 @@ TEST(Eliminator, DnnJobsAreNeverThrottled) {
   Rig rig(/*mba_capable=*/true);
   rig.place_contended_pair();
   ContentionEliminator elim(EliminatorConfig{}, &rig.probe.env());
-  elim.check_all([&](cluster::JobId j) { return rig.expected_util(j); });
+  elim.check_all(rig);
   // The GPU job's core allocation is untouched.
   EXPECT_EQ(rig.engine.cluster().node(0).allocation_of(1)->cpus, 2);
 }

@@ -7,7 +7,7 @@
 namespace coda::oracle {
 
 void ReferenceEliminator::check_all_reference(
-    const std::function<double(cluster::JobId)>& expected_util) {
+    const core::ExpectedUtilSource& expected) {
   if (!config_.enabled) {
     return;
   }
@@ -16,7 +16,7 @@ void ReferenceEliminator::check_all_reference(
     if (node.allocations().empty()) {
       continue;
     }
-    check_node(node, expected_util, env_->bandwidth->pressure(node.id()));
+    check_node(node, expected, env_->bandwidth->pressure(node.id()));
     if (config_.release_when_calm) {
       release_node(node, env_->bandwidth->pressure(node.id()));
     }

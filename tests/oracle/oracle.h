@@ -8,7 +8,6 @@
 // ticks to bit-identical results.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "coda/eliminator.h"
@@ -22,8 +21,7 @@ class ReferenceEliminator : public core::ContentionEliminator {
  public:
   using ContentionEliminator::ContentionEliminator;
 
-  void check_all_reference(
-      const std::function<double(cluster::JobId)>& expected_util);
+  void check_all_reference(const core::ExpectedUtilSource& expected);
 };
 
 // The three metrics-tick series values that depend on running jobs and

@@ -93,6 +93,23 @@ TEST(Serde, ReaderPoisonsOnMissingTokenAndTruncatedBlob) {
   }
 }
 
+TEST(Serde, I32RejectsValuesOutsideInt) {
+  // An int field must not wrap: 2^32 + 1 used to restore as 1.
+  for (const char* text : {"x 4294967297\n", "x -2147483649\n"}) {
+    Reader r(text);
+    ASSERT_TRUE(r.expect("x"));
+    EXPECT_EQ(r.i32(), 0) << text;
+    EXPECT_FALSE(r.ok()) << text;
+    EXPECT_NE(r.status().error().message.find("out of range"),
+              std::string::npos);
+  }
+  Reader r("x 2147483647 -2147483648\n");
+  ASSERT_TRUE(r.expect("x"));
+  EXPECT_EQ(r.i32(), 2147483647);
+  EXPECT_EQ(r.i32(), -2147483647 - 1);
+  EXPECT_TRUE(r.ok());
+}
+
 // ------------------------------------------------------------- container
 
 TEST(Snapshot, ParseRejectsCorruptContainers) {
@@ -608,6 +625,109 @@ TEST(Snapshot, RestoreRejectsPlacementCountsBeyondTheCluster) {
     ASSERT_FALSE(restored.ok()) << count;
     EXPECT_EQ(restored.error().code, util::ErrorCode::kParseError) << count;
   }
+}
+
+// A small FIFO session cut at t = 600 s on a 4-node cluster, with its
+// snapshot parsed and ready to tamper with.
+struct ManifestFixture {
+  ManifestFixture() {
+    auto trace_cfg = sim::standard_week_trace(3);
+    trace_cfg.duration_s = 3600.0;
+    trace_cfg.cpu_jobs = 10;
+    trace_cfg.gpu_jobs = 5;
+    trace = workload::TraceGenerator(trace_cfg).generate();
+    config.horizon_s = trace_cfg.duration_s;
+    config.engine.cluster.node_count = 4;
+    OfflineSession session = start_session(sim::Policy::kFifo, config, trace);
+    session.engine->run_until(600.0);
+    SnapshotMeta meta;
+    meta.seq = 1;
+    meta.virtual_time = session.engine->sim().now();
+    meta.dispatched = session.engine->sim().dispatched();
+    auto blob = capture_snapshot(meta, "", *session.engine,
+                                 *session.scheduler.scheduler);
+    EXPECT_TRUE(blob.ok());
+    auto parsed = parse_snapshot(*blob);
+    EXPECT_TRUE(parsed.ok());
+    snapshot = *parsed;
+    for (const auto& [id, record] : session.engine->records()) {
+      if (record.first_start_time < 0.0) {
+        not_running = id;  // still pending or not yet arrived
+      }
+    }
+  }
+
+  // Restores the snapshot with one extra manifest entry appended.
+  util::Result<RestoredSession> restore_with(double t, uint64_t kind,
+                                             uint64_t a, uint64_t b = 0) {
+    Snapshot tampered = snapshot;
+    std::string& body = tampered.body;
+    const size_t at = body.find("\nmanifest ");
+    EXPECT_NE(at, std::string::npos);
+    const size_t eol = body.find('\n', at + 1);
+    const uint64_t n = std::stoull(body.substr(at + 10, eol - at - 10));
+    Writer w;
+    w.line("manifest", n + 1);
+    w.line("event", t, kind, a, b);
+    body.replace(at + 1, eol - at, std::string(w.text()));
+    return restore_session(tampered, sim::Policy::kFifo, config, trace);
+  }
+
+  double now() const { return snapshot.meta.virtual_time; }
+
+  std::vector<workload::JobSpec> trace;
+  sim::ExperimentConfig config;
+  Snapshot snapshot;
+  cluster::JobId not_running = 0;
+};
+
+// Every corrupt manifest entry below used to abort, throw, or restore a
+// session that aborts later; each must be a parse error from the restore.
+void expect_rejected(util::Result<RestoredSession> restored,
+                     const char* what) {
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.error().code, util::ErrorCode::kParseError);
+  EXPECT_NE(restored.error().message.find(what), std::string::npos)
+      << restored.error().message;
+}
+
+TEST(Snapshot, UntamperedManifestFixtureRestores) {
+  ManifestFixture f;
+  EXPECT_TRUE(restore_session(f.snapshot, sim::Policy::kFifo, f.config,
+                              f.trace)
+                  .ok());
+  EXPECT_NE(f.not_running, 0u);
+}
+
+TEST(Snapshot, RestoreRejectsArrivalForUnknownJob) {
+  ManifestFixture f;
+  expect_rejected(f.restore_with(f.now() + 1.0, 1, 999999), "unknown job");
+}
+
+TEST(Snapshot, RestoreRejectsFinishForJobNotRunning) {
+  ManifestFixture f;
+  expect_rejected(f.restore_with(f.now() + 1.0, 2, f.not_running),
+                  "not running");
+  expect_rejected(f.restore_with(f.now() + 1.0, 2, 999999), "not running");
+}
+
+TEST(Snapshot, RestoreRejectsNodeIdsThatDoNotFit32Bits) {
+  ManifestFixture f;
+  // 2^32 + 3 used to narrow to node 3.
+  expect_rejected(f.restore_with(f.now() + 1.0, 3, 4294967299ULL), "node");
+  expect_rejected(f.restore_with(f.now() + 1.0, 4, 4294967299ULL), "node");
+}
+
+TEST(Snapshot, RestoreRejectsNodeIdsBeyondTheCluster) {
+  ManifestFixture f;
+  expect_rejected(f.restore_with(f.now() + 1.0, 3, 4), "node");
+  expect_rejected(f.restore_with(f.now() + 1.0, 4, 4), "node");
+}
+
+TEST(Snapshot, RestoreRejectsEventsBeforeTheSnapshotTime) {
+  ManifestFixture f;
+  expect_rejected(f.restore_with(f.now() - 1.0, 1, f.trace.front().id),
+                  "virtual time");
 }
 
 }  // namespace

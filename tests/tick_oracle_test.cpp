@@ -80,10 +80,17 @@ struct World {
     scheduler.elim = elim.get();
   }
 
+  // The engine's no-contention utilization as the eliminator's reference.
+  struct EngineExpectation : core::ExpectedUtilSource {
+    explicit EngineExpectation(const sim::ClusterEngine* e) : engine(e) {}
+    double expected_utilization(JobId job) const override {
+      return engine->expected_gpu_utilization(job);
+    }
+    const sim::ClusterEngine* engine;
+  };
+
   void eliminator_tick() {
-    const auto expected = [this](JobId job) {
-      return engine.expected_gpu_utilization(job);
-    };
+    const EngineExpectation expected(&engine);
     if (reference_elim != nullptr) {
       reference_elim->check_all_reference(expected);
     } else {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
+#include "perfmodel/train_perf.h"
+#include "sim/experiment.h"
 #include "workload/tenant.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
@@ -171,12 +174,13 @@ TEST(TraceGenerator, DiurnalCpuArrivals) {
 
 TEST(TraceGenerator, GpuJobsCarryPositiveWork) {
   const auto trace = TraceGenerator(small_config()).generate();
+  const perfmodel::TrainPerf perf;
   for (const auto& spec : trace) {
     if (spec.is_gpu_job()) {
       EXPECT_GE(spec.iterations, 1.0);
       EXPECT_GE(spec.requested_cpus, 1);
       EXPECT_LE(spec.requested_cpus, 24);
-      const double ideal = TraceGenerator::ideal_gpu_runtime(spec);
+      const double ideal = TraceGenerator::ideal_gpu_runtime(spec, perf);
       EXPECT_GE(ideal, 250.0);
       EXPECT_LE(ideal, 49.0 * 3600.0);
     } else {
@@ -365,6 +369,48 @@ TEST(JobSpec, LabelsAndHelpers) {
   EXPECT_EQ(cpu.nodes_needed(), 1);
   EXPECT_EQ(cpu.total_gpus(), 0);
   EXPECT_NE(cpu.label().find("cpu"), std::string::npos);
+}
+
+// FNV-1a over the trace's CSV text.
+uint64_t trace_digest(const TraceConfig& config) {
+  const std::string csv = trace_to_csv(TraceGenerator(config).generate());
+  uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : csv) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// Pins generated traces to the bytes of the recorded digests: the standard
+// week, the paper month (80 nodes, 112.5k jobs) and the 10k-node scale
+// profile, two seeds each. Any change to the generator's draws or to the
+// perf model its GPU iteration counts come from shows up here.
+TEST(TraceGenerator, CsvDigestsMatchRecordedValues) {
+  struct Case {
+    uint64_t seed;
+    uint64_t week;
+    uint64_t month;
+    uint64_t scale;
+  };
+  const Case cases[] = {
+      {42, 0x251e214bace70b9bULL, 0x5449baf50e9a8f4fULL,
+       0x136127bd0dc6d84aULL},
+      {7, 0x44f5a8863a031907ULL, 0xd94714bfffae977cULL,
+       0xd102516b046336d4ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.seed);
+    const TraceConfig week = sim::standard_week_trace(c.seed);
+    TraceConfig month = week;
+    month.duration_s = 30.0 * 86400.0;
+    month.cpu_jobs = 75000;
+    month.gpu_jobs = 37500;
+    EXPECT_EQ(trace_digest(week), c.week);
+    EXPECT_EQ(trace_digest(month), c.month);
+    EXPECT_EQ(trace_digest(scale_profile(10000, 15000, 22500, 86400.0, c.seed)),
+              c.scale);
+  }
 }
 
 }  // namespace
