@@ -13,12 +13,14 @@
 # sample; otherwise gprof (-pg instrumentation — gprof samples the main
 # thread, so CODA_JOBS is pinned to 1 to keep the profile honest).
 #
-# gprof only histograms the program's own text: time spent in shared
-# libraries (libc's printf family, memmove, malloc) and in the kernel is
-# never attributed to any row. In gprof mode each bench therefore also
-# prints its wall time, the total sampled self time, and the gap between
-# the two — the unsampled libc/kernel time a flat profile hides (it also
-# holds -pg's own mcount overhead, which lives in libc).
+# gprof only histograms the program's own text, so the gprof build links
+# statically (-static): libc and libstdc++ then sit inside that text and
+# memmove, malloc, the printf family and the std::map tree walks get rows
+# of their own (self time only — they are not compiled with -pg, so they
+# carry no call counts). Time in the kernel is still never attributed to a
+# row. In gprof mode each bench therefore also prints its wall time, the
+# total sampled self time, and the gap between the two — the kernel and
+# I/O time a flat profile cannot show.
 #
 # Environment:
 #   CODA_FAST=0   profile the full-size benches instead of the smoke traces
@@ -58,9 +60,10 @@ if [[ "$USE_PERF" == "1" ]]; then
   echo "== backend: perf (sampling) =="
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
 else
-  echo "== backend: gprof (-pg instrumentation, serial engine) =="
+  echo "== backend: gprof (-pg instrumentation, static link, serial engine) =="
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg > /dev/null
+        -DCMAKE_CXX_FLAGS=-pg "-DCMAKE_EXE_LINKER_FLAGS=-pg -static" \
+        > /dev/null
 fi
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
       --target "${BENCHES[@]}" > /dev/null
@@ -108,7 +111,7 @@ for b in "${BENCHES[@]}"; do
         pct = wall > 0 ? 100 * gap / wall : 0
         printf "wall %.2f s | gprof sampled self time %.2f s | ", wall, self
         printf "gap %.2f s (%.0f%% of wall): ", gap, pct
-        printf "libc/kernel time gprof does not see\n"
+        printf "kernel/I/O time gprof does not see\n"
       }' "$report"
   fi
 done

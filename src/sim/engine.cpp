@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 #include "sched/placement.h"
 #include "simcore/event_tags.h"
@@ -132,27 +133,123 @@ util::Status ClusterEngine::rearm_metrics_tick(double first) {
 
 ClusterEngine::~ClusterEngine() = default;
 
+// ------------------------------------------------------------- job table
+
+const JobRecord& ClusterEngine::JobTable::at(cluster::JobId id) const {
+  const Slot* slot = find_slot(id);
+  if (slot == nullptr) {
+    throw std::out_of_range(util::strfmt(
+        "unknown job %llu", static_cast<unsigned long long>(id)));
+  }
+  return slot->entry.second;
+}
+
+ClusterEngine::JobTable::const_iterator ClusterEngine::JobTable::find(
+    cluster::JobId id) const {
+  auto it = index_.find(id);
+  if (it == index_.end()) {
+    return end();
+  }
+  const uint32_t slot = it->second;
+  // Ids that arrive in ascending order (every trace load and auto-id
+  // SUBMIT) leave slot k at position k of the id order.
+  if (slot < order_.size() && order_[slot] == slot) {
+    return {this, order_.data() + slot};
+  }
+  return {this, order_.data() + (order_position(id) - order_.begin())};
+}
+
+std::vector<uint32_t>::const_iterator
+ClusterEngine::JobTable::order_position(cluster::JobId id) const {
+  return std::lower_bound(order_.begin(), order_.end(), id,
+                          [this](uint32_t k, cluster::JobId key) {
+                            return slot_at(k).entry.first < key;
+                          });
+}
+
+ClusterEngine::JobTable::Slot& ClusterEngine::JobTable::add(
+    cluster::JobId id) {
+  CODA_ASSERT(order_.size() < UINT32_MAX);
+  const uint32_t slot = static_cast<uint32_t>(order_.size());
+  if (slot == chunks_.size() * kChunkSize) {
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+  }
+  Slot& s = slot_at(slot);
+  s.entry.first = id;
+  const bool inserted = index_.emplace(id, slot).second;
+  CODA_ASSERT(inserted);
+  if (order_.empty() || slot_at(order_.back()).entry.first < id) {
+    order_.push_back(slot);
+  } else {
+    order_.insert(order_position(id), slot);
+  }
+  return s;
+}
+
+void ClusterEngine::JobTable::reserve(size_t jobs) {
+  index_.reserve(order_.size() + jobs);
+  order_.reserve(order_.size() + jobs);
+}
+
+void ClusterEngine::JobTable::set_pending(Slot& s, double since) {
+  pending_count_ += s.pending ? 0 : 1;
+  s.pending = true;
+  s.pending_since = since;
+}
+
+void ClusterEngine::JobTable::clear_pending(Slot& s) {
+  pending_count_ -= s.pending ? 1 : 0;
+  s.pending = false;
+}
+
+void ClusterEngine::JobTable::set_remaining(Slot& s, double work) {
+  remaining_count_ += s.has_remaining ? 0 : 1;
+  s.has_remaining = true;
+  s.remaining_work = work;
+}
+
+void ClusterEngine::JobTable::clear_remaining(Slot& s) {
+  remaining_count_ -= s.has_remaining ? 1 : 0;
+  s.has_remaining = false;
+}
+
+ClusterEngine::RunningJob& ClusterEngine::JobTable::set_running(Slot& s) {
+  CODA_ASSERT(s.running == nullptr);
+  s.running = std::make_unique<RunningJob>();
+  ++running_count_;
+  return *s.running;
+}
+
+std::unique_ptr<ClusterEngine::RunningJob>
+ClusterEngine::JobTable::take_running(Slot& s) {
+  CODA_ASSERT(s.running != nullptr);
+  --running_count_;
+  return std::move(s.running);
+}
+
+// ------------------------------------------------------------------ jobs
+
 double ClusterEngine::total_work_of(const workload::JobSpec& spec) const {
   return spec.is_gpu_job() ? spec.iterations : spec.cpu_work_core_s;
 }
 
 void ClusterEngine::load_trace(const std::vector<workload::JobSpec>& trace) {
+  jobs_.reserve(trace.size());
   for (const auto& spec : trace) {
     inject(spec, spec.submit_time);
   }
 }
 
 void ClusterEngine::inject(const workload::JobSpec& spec, double t) {
-  CODA_ASSERT_MSG(records_.count(spec.id) == 0, "duplicate job id injected");
-  JobRecord record;
+  CODA_ASSERT_MSG(jobs_.count(spec.id) == 0, "duplicate job id injected");
+  JobRecord& record = jobs_.add(spec.id).entry.second;
   record.spec = spec;
   record.submit_time = t;
-  records_[spec.id] = std::move(record);
   sim_.post_at(t, simcore::EventTag{simcore::kTagArrival, spec.id});
 }
 
 util::Status ClusterEngine::rearm_arrival(double t, cluster::JobId id) {
-  if (records_.count(id) == 0) {
+  if (jobs_.count(id) == 0) {
     return invalid_rearm(util::strfmt(
         "arrival manifest entry for unknown job %llu",
         static_cast<unsigned long long>(id)));
@@ -162,12 +259,12 @@ util::Status ClusterEngine::rearm_arrival(double t, cluster::JobId id) {
 }
 
 void ClusterEngine::on_arrival(cluster::JobId id) {
-  auto it = records_.find(id);
-  CODA_ASSERT(it != records_.end());
-  pending_since_[id] = sim_.now();
+  JobTable::Slot* slot = jobs_.find_slot(id);
+  CODA_ASSERT(slot != nullptr);
+  jobs_.set_pending(*slot, sim_.now());
   ++submitted_count_;
   event_log_.record(sim_.now(), EventKind::kArrival, id);
-  scheduler_->submit(it->second.spec);
+  scheduler_->submit(slot->entry.second.spec);
   scheduler_->kick();
 }
 
@@ -184,7 +281,7 @@ void ClusterEngine::drain(double hard_cap) {
   // abandoned by the retry policy.
   flush_dirty_nodes();
   while (sim_.now() < hard_cap &&
-         finished_count_ + abandoned_count_ < records_.size()) {
+         finished_count_ + abandoned_count_ < jobs_.size()) {
     sim_.run_until(std::min(hard_cap, sim_.now() + 6.0 * 3600.0));
   }
 }
@@ -193,13 +290,13 @@ void ClusterEngine::drain(double hard_cap) {
 
 util::Status ClusterEngine::start_job(cluster::JobId id,
                                       const sched::Placement& placement) {
-  auto rec_it = records_.find(id);
-  if (rec_it == records_.end()) {
+  JobTable::Slot* slot = jobs_.find_slot(id);
+  if (slot == nullptr) {
     return util::Error{util::ErrorCode::kNotFound,
                        util::strfmt("unknown job %llu",
                                     static_cast<unsigned long long>(id))};
   }
-  if (running_.count(id) > 0) {
+  if (slot->running != nullptr) {
     return util::Error{util::ErrorCode::kFailedPrecondition,
                        "job is already running"};
   }
@@ -220,22 +317,17 @@ util::Status ClusterEngine::start_job(cluster::JobId id,
     }
   }
 
-  JobRecord& record = rec_it->second;
-  RunningJob job;
-  job.id = id;
-  job.spec = &record.spec;
-  job.placement = placement;
-  auto rem_it = remaining_work_.find(id);
-  job.remaining = rem_it != remaining_work_.end()
-                      ? rem_it->second
-                      : total_work_of(record.spec);
+  JobRecord& record = slot->entry.second;
+  RunningJob& running = jobs_.set_running(*slot);
+  running.id = id;
+  running.spec = &record.spec;
+  running.placement = placement;
+  running.remaining = slot->has_remaining ? slot->remaining_work
+                                          : total_work_of(record.spec);
   // The start state is durable: a fresh job restarts from zero anyway, and
   // a restarted one resumes from persisted (checkpointed) progress.
-  job.ckpt_remaining = job.remaining;
-  job.last_update = sim_.now();
-  auto [it, inserted] = running_.emplace(id, std::move(job));
-  CODA_ASSERT(inserted);
-  RunningJob& running = it->second;
+  running.ckpt_remaining = running.remaining;
+  running.last_update = sim_.now();
   // Build the flat per-node vector to its final (sorted) size before any
   // Resident caches a PerNodeState address: push_back after that point
   // would reallocate the buffer out from under the resident lists.
@@ -256,9 +348,8 @@ util::Status ClusterEngine::start_job(cluster::JobId id,
   }
 
   // Queueing accounting.
-  auto pend_it = pending_since_.find(id);
-  CODA_ASSERT(pend_it != pending_since_.end());
-  record.queue_time_total += sim_.now() - pend_it->second;
+  CODA_ASSERT(slot->pending);
+  record.queue_time_total += sim_.now() - slot->pending_since;
   if (record.first_start_time < 0.0) {
     record.first_start_time = sim_.now();
   }
@@ -267,7 +358,7 @@ util::Status ClusterEngine::start_job(cluster::JobId id,
     // and scheduler preemptions do not count as restarts).
     ++record.restart_count;
   }
-  pending_since_.erase(pend_it);
+  jobs_.clear_pending(*slot);
   event_log_.record(sim_.now(), EventKind::kStart, id,
                     static_cast<int>(placement.nodes.front().node),
                     placement.total_cpus());
@@ -286,17 +377,17 @@ util::Status ClusterEngine::preempt_job(cluster::JobId id,
 
 util::Status ClusterEngine::stop_running_job(cluster::JobId id,
                                              bool keep_progress) {
-  auto it = running_.find(id);
-  if (it == running_.end()) {
+  JobTable::Slot* slot = jobs_.find_slot(id);
+  if (slot == nullptr || slot->running == nullptr) {
     return util::Error{util::ErrorCode::kNotFound, "job is not running"};
   }
-  RunningJob& job = it->second;
+  RunningJob& job = *slot->running;
   advance_progress(job);
-  JobRecord& record = records_[id];
+  JobRecord& record = slot->entry.second;
   record.busy_core_s += job.busy_core_s;
   record.busy_gpu_s += job.busy_gpu_s;
   if (keep_progress) {
-    remaining_work_[id] = job.remaining;
+    jobs_.set_remaining(*slot, job.remaining);
   } else {
     // Everything computed since the last durable point is discarded:
     // charge it as wasted work and roll back to the checkpoint (or to
@@ -304,40 +395,25 @@ util::Status ClusterEngine::stop_running_job(cluster::JobId id,
     record.wasted_core_s += job.ckpt_busy_core_s;
     record.wasted_gpu_s += job.ckpt_busy_gpu_s;
     if (job.spec->checkpointing()) {
-      remaining_work_[id] = job.ckpt_remaining;
+      jobs_.set_remaining(*slot, job.ckpt_remaining);
     } else {
-      remaining_work_.erase(id);
+      jobs_.clear_remaining(*slot);
     }
   }
   job.finish_event.cancel();
-  std::vector<cluster::NodeId> affected;
-  for (const auto& np : job.placement.nodes) {
-    auto& list = jobs_on_node_[np.node];
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [id](const Resident& r) { return r.id == id; }),
-               list.end());
-    auto release = cluster_.node(np.node).release(id);
-    CODA_ASSERT(release.ok());
-    affected.push_back(np.node);
-  }
-  mba_.clear_job(id);
-  erase_ledger(id);
-  running_.erase(it);
-  for (cluster::NodeId node : affected) {
-    mark_node_dirty(node);
-  }
+  release_running(*slot);
   record.preempt_count += 1;
-  pending_since_[id] = sim_.now();
+  jobs_.set_pending(*slot, sim_.now());
   return util::Status::Ok();
 }
 
 util::Status ClusterEngine::resize_job(cluster::JobId id,
                                        cluster::NodeId node, int new_cpus) {
-  auto it = running_.find(id);
-  if (it == running_.end()) {
+  JobTable::Slot* slot = jobs_.find_slot(id);
+  if (slot == nullptr || slot->running == nullptr) {
     return util::Error{util::ErrorCode::kNotFound, "job is not running"};
   }
-  RunningJob& job = it->second;
+  RunningJob& job = *slot->running;
   PerNodeState* st = node_state(job, node);
   if (st == nullptr) {
     return util::Error{util::ErrorCode::kNotFound,
@@ -374,16 +450,17 @@ util::Status ClusterEngine::fail_node(cluster::NodeId node_id) {
     victims.push_back(r.id);
   }
   for (cluster::JobId id : victims) {
-    if (running_.count(id) == 0) {
+    JobTable::Slot* slot = jobs_.find_slot(id);
+    if (slot->running == nullptr) {
       continue;  // already evicted as another leg of a multi-node job
     }
-    const workload::JobSpec spec = records_.at(id).spec;
     auto status = stop_running_job(id, /*keep_progress=*/false);
     CODA_ASSERT(status.ok());
-    records_.at(id).evict_count += 1;
+    JobRecord& record = slot->entry.second;
+    record.evict_count += 1;
     event_log_.record(sim_.now(), EventKind::kEvict, id,
                       static_cast<int>(node_id));
-    scheduler_->on_job_evicted(spec);
+    scheduler_->on_job_evicted(record.spec);
   }
   node.set_failed(true);
   ++node_failures_;
@@ -428,58 +505,62 @@ util::Status ClusterEngine::rearm_outage(double t, uint32_t kind,
 }
 
 void ClusterEngine::finish_job(cluster::JobId id) {
-  auto it = running_.find(id);
-  CODA_ASSERT(it != running_.end());
-  RunningJob& job = it->second;
+  JobTable::Slot* slot = jobs_.find_slot(id);
+  CODA_ASSERT(slot != nullptr && slot->running != nullptr);
+  RunningJob& job = *slot->running;
   advance_progress(job);
 
-  JobRecord& record = records_[id];
+  JobRecord& record = slot->entry.second;
   record.finish_time = sim_.now();
   record.completed = true;
   record.final_cpus = job.placement.nodes.front().cpus;
   record.busy_core_s += job.busy_core_s;
   record.busy_gpu_s += job.busy_gpu_s;
 
-  std::vector<cluster::NodeId> affected;
-  for (const auto& np : job.placement.nodes) {
+  release_running(*slot);
+  jobs_.clear_remaining(*slot);
+  ++finished_count_;
+  event_log_.record(sim_.now(), EventKind::kFinish, id);
+  scheduler_->on_job_finished(record.spec);
+  scheduler_->kick();
+}
+
+void ClusterEngine::abandon_job(cluster::JobId id) {
+  JobTable::Slot* slot = jobs_.find_slot(id);
+  CODA_ASSERT_MSG(slot != nullptr, "abandoning an unknown job");
+  JobRecord& record = slot->entry.second;
+  CODA_ASSERT_MSG(!record.completed && !record.abandoned,
+                  "abandoning a finished job");
+  CODA_ASSERT_MSG(slot->running == nullptr, "abandoning a running job");
+  record.abandoned = true;
+  if (slot->pending) {
+    record.queue_time_total += sim_.now() - slot->pending_since;
+    jobs_.clear_pending(*slot);
+  }
+  jobs_.clear_remaining(*slot);
+  ++abandoned_count_;
+  event_log_.record(sim_.now(), EventKind::kAbandon, id);
+  metrics_.increment("jobs_abandoned");
+}
+
+void ClusterEngine::release_running(JobTable::Slot& slot) {
+  const cluster::JobId id = slot.entry.first;
+  // Owned here until the end: its placement names the nodes to mark dirty
+  // once the job is gone from them.
+  const std::unique_ptr<RunningJob> job = jobs_.take_running(slot);
+  for (const auto& np : job->placement.nodes) {
     auto& list = jobs_on_node_[np.node];
     list.erase(std::remove_if(list.begin(), list.end(),
                               [id](const Resident& r) { return r.id == id; }),
                list.end());
     auto release = cluster_.node(np.node).release(id);
     CODA_ASSERT(release.ok());
-    affected.push_back(np.node);
   }
   mba_.clear_job(id);
-  erase_ledger(id);
-  running_.erase(it);
-  remaining_work_.erase(id);
-  ++finished_count_;
-  event_log_.record(sim_.now(), EventKind::kFinish, id);
-  for (cluster::NodeId node : affected) {
-    mark_node_dirty(node);
+  erase_ledger(*job);
+  for (const auto& np : job->placement.nodes) {
+    mark_node_dirty(np.node);
   }
-  scheduler_->on_job_finished(record.spec);
-  scheduler_->kick();
-}
-
-void ClusterEngine::abandon_job(cluster::JobId id) {
-  auto it = records_.find(id);
-  CODA_ASSERT_MSG(it != records_.end(), "abandoning an unknown job");
-  JobRecord& record = it->second;
-  CODA_ASSERT_MSG(!record.completed && !record.abandoned,
-                  "abandoning a finished job");
-  CODA_ASSERT_MSG(running_.count(id) == 0, "abandoning a running job");
-  record.abandoned = true;
-  auto pend_it = pending_since_.find(id);
-  if (pend_it != pending_since_.end()) {
-    record.queue_time_total += sim_.now() - pend_it->second;
-    pending_since_.erase(pend_it);
-  }
-  remaining_work_.erase(id);
-  ++abandoned_count_;
-  event_log_.record(sim_.now(), EventKind::kAbandon, id);
-  metrics_.increment("jobs_abandoned");
 }
 
 // ----------------------------------------------------- contention and rates
@@ -719,19 +800,28 @@ void ClusterEngine::reschedule_finish(RunningJob& job) {
       dt, simcore::EventTag{simcore::kTagJobFinish, job.id});
 }
 
-void ClusterEngine::write_ledger(const RunningJob& job) {
-  auto it = std::lower_bound(
-      ledger_.begin(), ledger_.end(), job.id,
-      [](const LedgerRow& row, cluster::JobId id) { return row.job < id; });
-  if (it == ledger_.end() || it->job != job.id) {
-    it = ledger_.insert(it, job.nodes.size(), LedgerRow{});
-  }
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+}  // namespace
+
+void ClusterEngine::write_ledger(RunningJob& job) {
+  // Half a cache line: the tick streams the whole ledger every period.
+  static_assert(sizeof(LedgerRow) == 32);
+  // Recompute the job's row values into the per-leg cache first; the
+  // ledger itself is searched and written only when one of them moved
+  // (most rate updates are neighbor refreshes that leave every row as is).
   const workload::JobSpec& spec = *job.spec;
-  for (size_t leg = 0; leg < job.nodes.size(); ++leg, ++it) {
-    const PerNodeState& st = job.nodes[leg].second;
-    LedgerRow& row = *it;
-    row = LedgerRow{};
-    row.job = job.id;
+  bool changed = !job.in_ledger;
+  for (size_t leg = 0; leg < job.nodes.size(); ++leg) {
+    PerNodeState& st = job.nodes[leg].second;
+    int cores = 0;
+    int gpus = 0;
+    double gpu_term = 0.0;
+    double cpu_term = 0.0;
     if (spec.is_gpu_job()) {
       // GPU utilization is weighted per job (leg 0); busy cores per leg,
       // from the prep stage's share of an iteration. The prep time comes
@@ -747,43 +837,98 @@ void ClusterEngine::write_ledger(const RunningJob& job) {
                           st.eval_gpu_bits == gpu_bits,
                       "ledger row from a stale eval cache");
       if (leg == 0) {
-        row.gpus = spec.total_gpus();
-        row.gpu_term = job.gpu_util * row.gpus;
+        gpus = spec.total_gpus();
+        gpu_term = job.gpu_util * gpus;
       }
       const double iter = 1.0 / job.rate;
-      row.cpu_term = st.cpus * std::min(1.0, st.eval_prep / iter);
-      row.cores = st.cpus;
+      cpu_term = st.cpus * std::min(1.0, st.eval_prep / iter);
+      cores = st.cpus;
     } else if (leg == 0) {
-      row.cpu_term = st.cpus * st.cpu_rate_factor;
-      row.cores = st.cpus;
+      cpu_term = st.cpus * st.cpu_rate_factor;
+      cores = st.cpus;
     }
+    if (st.ledger_cores != cores || st.ledger_gpus != gpus ||
+        !same_bits(st.ledger_gpu_term, gpu_term) ||
+        !same_bits(st.ledger_cpu_term, cpu_term)) {
+      st.ledger_cores = cores;
+      st.ledger_gpus = gpus;
+      st.ledger_gpu_term = gpu_term;
+      st.ledger_cpu_term = cpu_term;
+      changed = true;
+    }
+  }
+  if (!changed) {
+    return;
+  }
+  // A job's live rows precede any tombstones of its id, so the first row
+  // at or above the id is its first live row (or where it goes).
+  const size_t legs = job.nodes.size();
+  auto it = std::lower_bound(
+      ledger_.begin(), ledger_.end(), job.id,
+      [](const LedgerRow& row, cluster::JobId id) { return row.job < id; });
+  if (!job.in_ledger) {
+    // Reuse a run of tombstones at the insertion point when it is long
+    // enough: every row after it holds an id at or above theirs, so
+    // relabelling them keeps the ledger sorted without moving its tail.
+    size_t dead = 0;
+    while (dead < legs && it + static_cast<std::ptrdiff_t>(dead) !=
+                              ledger_.end() &&
+           it[static_cast<std::ptrdiff_t>(dead)].dead) {
+      ++dead;
+    }
+    if (dead == legs) {
+      ledger_dead_ -= legs;
+    } else {
+      it = ledger_.insert(it, legs, LedgerRow{});
+    }
+    job.in_ledger = true;
+  } else {
+    CODA_ASSERT(static_cast<size_t>(ledger_.end() - it) >= legs &&
+                it->job == job.id && !it->dead);
+  }
+  for (size_t leg = 0; leg < legs; ++leg, ++it) {
+    const PerNodeState& st = job.nodes[leg].second;
+    LedgerRow& row = *it;
+    row.job = job.id;
+    row.cores = st.ledger_cores;
+    row.gpus = static_cast<int16_t>(st.ledger_gpus);
+    row.dead = false;
+    row.gpu_term = st.ledger_gpu_term;
+    row.cpu_term = st.ledger_cpu_term;
   }
 }
 
-void ClusterEngine::erase_ledger(cluster::JobId id) {
-  auto first = std::lower_bound(
-      ledger_.begin(), ledger_.end(), id,
-      [](const LedgerRow& row, cluster::JobId j) { return row.job < j; });
-  auto last = first;
-  while (last != ledger_.end() && last->job == id) {
-    ++last;
+void ClusterEngine::erase_ledger(const RunningJob& job) {
+  if (!job.in_ledger) {
+    return;  // stopped before its first rate update
   }
-  ledger_.erase(first, last);
+  auto it = std::lower_bound(
+      ledger_.begin(), ledger_.end(), job.id,
+      [](const LedgerRow& row, cluster::JobId id) { return row.job < id; });
+  for (size_t leg = 0; leg < job.nodes.size(); ++leg, ++it) {
+    CODA_ASSERT(it != ledger_.end() && it->job == job.id && !it->dead);
+    // Zero values keep the row bit-neutral in every tick sum; the id stays
+    // so the ledger remains sorted until the tick compacts it away.
+    *it = LedgerRow{};
+    it->job = job.id;
+    it->dead = true;
+  }
+  ledger_dead_ += job.nodes.size();
 }
 
 util::Status ClusterEngine::rearm_finish(double t, cluster::JobId id) {
-  auto it = running_.find(id);
-  if (it == running_.end()) {
+  JobTable::Slot* slot = jobs_.find_slot(id);
+  if (slot == nullptr || slot->running == nullptr) {
     return invalid_rearm(util::strfmt(
         "finish manifest entry for job %llu, which is not running",
         static_cast<unsigned long long>(id)));
   }
-  if (it->second.finish_event.pending()) {
+  if (slot->running->finish_event.pending()) {
     return invalid_rearm(util::strfmt(
         "second finish manifest entry for job %llu",
         static_cast<unsigned long long>(id)));
   }
-  it->second.finish_event =
+  slot->running->finish_event =
       sim_.schedule_at(t, simcore::EventTag{simcore::kTagJobFinish, id});
   return util::Status::Ok();
 }
@@ -806,13 +951,13 @@ void ClusterEngine::sample_into(cluster::NodeId node,
   out->jobs.clear();
   const auto& report = node_reports_[node];
   for (const auto& jc : report.jobs) {
-    auto it = running_.find(jc.job);
-    if (it == running_.end()) {
+    const JobTable::Slot* slot = jobs_.find_slot(jc.job);
+    if (slot == nullptr || slot->running == nullptr) {
       continue;  // finished since the last recompute
     }
     telemetry::JobBandwidth jb;
     jb.job = jc.job;
-    jb.is_gpu_job = it->second.spec->is_gpu_job();
+    jb.is_gpu_job = slot->running->spec->is_gpu_job();
     jb.gbps = jc.achieved_bw_gbps;
     // Totalled from the surviving rows, not report.total_demand_gbps: a job
     // that finished since the last recompute must not haunt the probe.
@@ -848,11 +993,12 @@ void ClusterEngine::pressure_screen(size_t node_count,
 
 double ClusterEngine::gpu_utilization(cluster::JobId job) const {
   ensure_synced();
-  auto it = running_.find(job);
-  if (it == running_.end() || !it->second.spec->is_gpu_job()) {
+  const JobTable::Slot* slot = jobs_.find_slot(job);
+  if (slot == nullptr || slot->running == nullptr ||
+      !slot->running->spec->is_gpu_job()) {
     return -1.0;
   }
-  double util = it->second.gpu_util;
+  double util = slot->running->gpu_util;
   if (config_.util_noise_stddev > 0.0) {
     // Jittered probe: what a real 90 s utilization sample looks like.
     util *= 1.0 + noise_rng_.normal(0.0, config_.util_noise_stddev);
@@ -862,11 +1008,12 @@ double ClusterEngine::gpu_utilization(cluster::JobId job) const {
 
 double ClusterEngine::expected_gpu_utilization(cluster::JobId job) const {
   ensure_synced();
-  auto it = running_.find(job);
-  if (it == running_.end() || !it->second.spec->is_gpu_job()) {
+  const JobTable::Slot* slot = jobs_.find_slot(job);
+  if (slot == nullptr || slot->running == nullptr ||
+      !slot->running->spec->is_gpu_job()) {
     return -1.0;
   }
-  const RunningJob& r = it->second;
+  const RunningJob& r = *slot->running;
   double util = 1.0;
   for (const auto& [node, st] : r.nodes) {
     util = std::min(util, perf_.gpu_utilization(r.spec->model,
@@ -945,16 +1092,28 @@ void ClusterEngine::sample_metrics() {
   // GPU utilization averaged over *active* GPUs (the paper's definition);
   // CPU utilization over active cores. The ledger rows are the running
   // jobs' terms in job-id order (the flush above made them current); the
-  // +0.0 filler terms are bit-neutral on these non-negative sums.
+  // +0.0 filler terms and zeroed tombstones are bit-neutral on these
+  // non-negative sums. Once tombstones pass a quarter of the ledger, the
+  // same pass compacts them away (a stable, order-keeping sweep).
   double gpu_util_weighted = 0.0;
   int active_gpus = 0;
   double cpu_busy = 0.0;
   int active_cores = 0;
-  for (const LedgerRow& row : ledger_) {
+  const bool compact = ledger_dead_ > 0 && ledger_dead_ * 4 >= ledger_.size();
+  size_t kept = 0;
+  for (size_t i = 0; i < ledger_.size(); ++i) {
+    const LedgerRow row = ledger_[i];
     gpu_util_weighted += row.gpu_term;
     active_gpus += row.gpus;
     cpu_busy += row.cpu_term;
     active_cores += row.cores;
+    if (compact && !row.dead) {
+      ledger_[kept++] = row;
+    }
+  }
+  if (compact) {
+    ledger_.resize(kept);
+    ledger_dead_ = 0;
   }
   series_.gpu_util_active->add(
       t, active_gpus > 0 ? gpu_util_weighted / active_gpus : 0.0);

@@ -12,7 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -101,7 +105,111 @@ struct JobRecord {
 
 class ClusterEngine : public telemetry::BandwidthSource,
                       public telemetry::GpuUtilSource {
+  struct RunningJob;  // private per-stint state, defined below
+
  public:
+  // Every job the engine knows, one slot each: its record plus its
+  // pending/remaining/running bookkeeping. Slots are appended in injection
+  // order to chunked storage, so their addresses never move (a running
+  // job's `spec` and the resident lists point into them); a hash index maps
+  // id → slot and `order_` lists the slots in ascending id order, which is
+  // the order records(), reports and snapshots walk. The public face is a
+  // read-only, map-like view over (id, record) pairs.
+  class JobTable {
+   public:
+    using value_type = std::pair<cluster::JobId, JobRecord>;
+
+    class const_iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = JobTable::value_type;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const value_type*;
+      using reference = const value_type&;
+
+      const_iterator() = default;
+      reference operator*() const { return table_->slot_at(*pos_).entry; }
+      pointer operator->() const { return &**this; }
+      const_iterator& operator++() {
+        ++pos_;
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator old = *this;
+        ++pos_;
+        return old;
+      }
+      bool operator==(const const_iterator& o) const { return pos_ == o.pos_; }
+      bool operator!=(const const_iterator& o) const { return pos_ != o.pos_; }
+
+     private:
+      friend class JobTable;
+      const_iterator(const JobTable* table, const uint32_t* pos)
+          : table_(table), pos_(pos) {}
+      const JobTable* table_ = nullptr;
+      const uint32_t* pos_ = nullptr;
+    };
+
+    size_t size() const { return order_.size(); }
+    bool empty() const { return order_.empty(); }
+    size_t count(cluster::JobId id) const { return index_.count(id); }
+    // Throws std::out_of_range for an unknown id, as std::map::at does.
+    const JobRecord& at(cluster::JobId id) const;
+    const_iterator find(cluster::JobId id) const;
+    const_iterator begin() const { return {this, order_.data()}; }
+    const_iterator end() const {
+      return {this, order_.data() + order_.size()};
+    }
+
+   private:
+    friend class ClusterEngine;
+    friend class oracle::EngineOracle;
+
+    struct Slot {
+      value_type entry;  // (id, record)
+      std::unique_ptr<RunningJob> running;  // set while running
+      double pending_since = 0.0;           // valid while `pending`
+      double remaining_work = 0.0;          // valid while `has_remaining`
+      bool pending = false;
+      // Progress kept across a preemption or a checkpointed eviction: the
+      // next start resumes from it instead of the job's total work.
+      bool has_remaining = false;
+    };
+    static constexpr uint32_t kChunkBits = 10;
+    static constexpr uint32_t kChunkSize = 1u << kChunkBits;
+
+    Slot& slot_at(uint32_t i) const {
+      return chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
+    }
+    // The job's slot, or nullptr when the id is unknown.
+    Slot* find_slot(cluster::JobId id) const {
+      auto it = index_.find(id);
+      return it == index_.end() ? nullptr : &slot_at(it->second);
+    }
+    // First position in order_ whose id is not below `id`.
+    std::vector<uint32_t>::const_iterator order_position(
+        cluster::JobId id) const;
+    // Appends a slot for a new id (the caller checked it is unknown).
+    Slot& add(cluster::JobId id);
+    void reserve(size_t jobs);
+
+    // Own a fresh RunningJob in the slot / hand it back to the caller.
+    RunningJob& set_running(Slot& s);
+    std::unique_ptr<RunningJob> take_running(Slot& s);
+    void set_pending(Slot& s, double since);
+    void clear_pending(Slot& s);
+    void set_remaining(Slot& s, double work);
+    void clear_remaining(Slot& s);
+
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    std::unordered_map<cluster::JobId, uint32_t> index_;
+    std::vector<uint32_t> order_;  // slot indices in ascending id order
+    // Occupancy counts for the snapshot's pending/remaining/running lines.
+    size_t pending_count_ = 0;
+    size_t remaining_count_ = 0;
+    size_t running_count_ = 0;
+  };
+
   // `restore_mode` constructs the engine for state::restore_session: the
   // metrics periodic is not scheduled here (the snapshot manifest re-arms
   // it at its exact next firing time) and the scheduler's attach() sees
@@ -146,10 +254,8 @@ class ClusterEngine : public telemetry::BandwidthSource,
   cluster::Cluster& cluster() { return cluster_; }
   const cluster::Cluster& cluster() const { return cluster_; }
   const telemetry::MetricRegistry& metrics() const { return metrics_; }
-  const std::map<cluster::JobId, JobRecord>& records() const {
-    return records_;
-  }
-  size_t running_jobs() const { return running_.size(); }
+  const JobTable& records() const { return jobs_; }
+  size_t running_jobs() const { return jobs_.running_count_; }
   size_t finished_jobs() const { return finished_count_; }
   size_t abandoned_jobs() const { return abandoned_count_; }
   const EventLog& event_log() const { return event_log_; }
@@ -240,11 +346,17 @@ class ClusterEngine : public telemetry::BandwidthSource,
     double eval_iter = 0.0;
     double eval_util = 0.0;
     double eval_prep = 0.0;  // prep-stage time; metrics ticks read it
+    // This leg's metrics-ledger row values as last written (write_ledger
+    // compares against them and skips the ledger when nothing moved).
+    int ledger_cores = 0;
+    int ledger_gpus = 0;
+    double ledger_gpu_term = 0.0;
+    double ledger_cpu_term = 0.0;
   };
 
   struct RunningJob {
     cluster::JobId id = 0;
-    const workload::JobSpec* spec = nullptr;  // owned by records_
+    const workload::JobSpec* spec = nullptr;  // owned by the job's slot
     sched::Placement placement;
     // Per-node state, sorted by node id (the recompute/serialize iteration
     // order). Flat storage: a job has at most a handful of legs, so a
@@ -270,6 +382,9 @@ class ClusterEngine : public telemetry::BandwidthSource,
     double busy_gpu_s = 0.0;
     double ckpt_busy_core_s = 0.0;
     double ckpt_busy_gpu_s = 0.0;
+    // The job has live rows in the metrics ledger (set by the first
+    // write_ledger of this stint).
+    bool in_ledger = false;
   };
 
   // Scheduler-facing callbacks (wired into SchedulerEnv).
@@ -282,6 +397,10 @@ class ClusterEngine : public telemetry::BandwidthSource,
 
   void on_arrival(cluster::JobId id);
   void finish_job(cluster::JobId id);
+  // Shared tail of the stop and finish paths: takes the running job out of
+  // its slot, removes it from its nodes (resident lists, allocations, MBA
+  // caps), tombstones its ledger rows and marks its nodes dirty.
+  void release_running(JobTable::Slot& slot);
   // Scheduler gave up on an evicted job (retry cap). Closes accounting.
   void abandon_job(cluster::JobId id);
 
@@ -328,10 +447,10 @@ class ClusterEngine : public telemetry::BandwidthSource,
   mutable util::Rng noise_rng_;
   EventLog event_log_;
 
-  std::map<cluster::JobId, JobRecord> records_;
-  std::map<cluster::JobId, RunningJob> running_;
+  JobTable jobs_;
   // One resident job on one node. Caches the RunningJob and PerNodeState
-  // addresses (stable: both live in std::map nodes) so the recompute path
+  // addresses (stable: the RunningJob is heap-owned by its slot and its
+  // per-node vector never reallocates) so the recompute path
   // never pays the two map lookups per resident; entries are removed before
   // the owning RunningJob is erased.
   struct Resident {
@@ -368,23 +487,25 @@ class ClusterEngine : public telemetry::BandwidthSource,
   void set_pressure_screen_floor(double floor);
 
   // The metrics tick's per-job terms, one row per (running job, leg) and
-  // sorted by (job id, leg) — the order the tick used to walk running_ in,
-  // so summing the rows feeds every accumulator the same terms in the same
-  // sequence. update_rate rewrites a job's rows; the stop paths erase
-  // them; load_state rebuilds them.
+  // sorted by (job id, leg) — the order of an id-ordered walk over the
+  // running jobs, so summing the rows feeds every accumulator the same
+  // terms in the same sequence. update_rate rewrites a job's rows when
+  // their values change; the stop paths tombstone them (zeroed in place,
+  // bit-neutral in every sum) and the metrics tick compacts the tombstones
+  // away once they pass a quarter of the ledger; load_state rebuilds the
+  // ledger. A job's live rows always precede tombstones of the same id.
   struct LedgerRow {
     cluster::JobId job = 0;
-    int cores = 0;          // leg cores
-    int gpus = 0;           // job GPUs on leg 0, else 0
+    int32_t cores = 0;      // leg cores
+    int16_t gpus = 0;       // job GPUs on leg 0, else 0
+    bool dead = false;      // tombstone: every value is zero
     double gpu_term = 0.0;  // gpu_util * gpus on leg 0, else +0.0
     double cpu_term = 0.0;  // busy cores this leg contributes
   };
   std::vector<LedgerRow> ledger_;
-  void write_ledger(const RunningJob& job);
-  void erase_ledger(cluster::JobId id);
-
-  std::map<cluster::JobId, double> pending_since_;
-  std::map<cluster::JobId, double> remaining_work_;  // preserved on migration
+  size_t ledger_dead_ = 0;  // tombstoned rows in ledger_
+  void write_ledger(RunningJob& job);
+  void erase_ledger(const RunningJob& job);
 
   // Scratch buffer for recompute_node (reused across calls to avoid a
   // per-event allocation on the hottest engine path).

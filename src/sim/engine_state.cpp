@@ -36,8 +36,9 @@ void ClusterEngine::save_state(state::Writer* w) const {
           stats_.reschedules, stats_.reschedules_skipped,
           stats_.dirty_flushes);
 
-  w->line("records", records_.size());
-  for (const auto& [id, rec] : records_) {
+  // Every per-job section walks the table in id order.
+  w->line("records", jobs_.size());
+  for (const auto& [id, rec] : jobs_) {
     w->line("rec", id, rec.submit_time, rec.first_start_time, rec.finish_time,
             rec.queue_time_total, rec.preempt_count, rec.final_cpus,
             rec.completed, rec.evict_count, rec.restart_count, rec.abandoned,
@@ -45,13 +46,19 @@ void ClusterEngine::save_state(state::Writer* w) const {
             rec.wasted_gpu_s);
   }
 
-  w->line("pending", pending_since_.size());
-  for (const auto& [id, since] : pending_since_) {
-    w->line("pend", id, since);
+  w->line("pending", jobs_.pending_count_);
+  for (const uint32_t k : jobs_.order_) {
+    const JobTable::Slot& slot = jobs_.slot_at(k);
+    if (slot.pending) {
+      w->line("pend", slot.entry.first, slot.pending_since);
+    }
   }
-  w->line("remaining", remaining_work_.size());
-  for (const auto& [id, rem] : remaining_work_) {
-    w->line("rem", id, rem);
+  w->line("remaining", jobs_.remaining_count_);
+  for (const uint32_t k : jobs_.order_) {
+    const JobTable::Slot& slot = jobs_.slot_at(k);
+    if (slot.has_remaining) {
+      w->line("rem", slot.entry.first, slot.remaining_work);
+    }
   }
 
   w->line("nodes", cluster_.node_count());
@@ -63,9 +70,13 @@ void ClusterEngine::save_state(state::Writer* w) const {
     }
   }
 
-  w->line("running", running_.size());
-  for (const auto& [id, job] : running_) {
-    w->line("run", id, job.remaining, job.rate, job.last_update, job.gpu_util,
+  w->line("running", jobs_.running_count_);
+  for (const uint32_t k : jobs_.order_) {
+    if (jobs_.slot_at(k).running == nullptr) {
+      continue;
+    }
+    const RunningJob& job = *jobs_.slot_at(k).running;
+    w->line("run", job.id, job.remaining, job.rate, job.last_update, job.gpu_util,
             job.ckpt_remaining, job.time_since_ckpt, job.busy_core_s,
             job.busy_gpu_s, job.ckpt_busy_core_s, job.ckpt_busy_gpu_s,
             job.placement.nodes.size());
@@ -133,7 +144,7 @@ util::Status ClusterEngine::load_state(
     state::Reader* r,
     const std::map<cluster::JobId, workload::JobSpec>& specs,
     uint64_t version) {
-  CODA_ASSERT_MSG(records_.empty() && running_.empty(),
+  CODA_ASSERT_MSG(jobs_.empty(),
                   "load_state requires a restore-mode engine with no trace");
 
   r->expect("rng");
@@ -172,7 +183,11 @@ util::Status ClusterEngine::load_state(
       r->fail("engine record references unknown job " + std::to_string(id));
       break;
     }
-    JobRecord rec;
+    if (jobs_.count(id) > 0) {
+      r->fail("duplicate engine record for job " + std::to_string(id));
+      break;
+    }
+    JobRecord& rec = jobs_.add(id).entry.second;
     rec.spec = spec_it->second;
     rec.submit_time = r->f64();
     rec.first_start_time = r->f64();
@@ -188,22 +203,39 @@ util::Status ClusterEngine::load_state(
     rec.busy_gpu_s = r->f64();
     rec.wasted_core_s = r->f64();
     rec.wasted_gpu_s = r->f64();
-    records_[id] = std::move(rec);
   }
 
+  // Pending and remaining entries attach to existing records, once each.
   r->expect("pending");
   n = r->u64();
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("pend");
     const cluster::JobId id = r->u64();
-    pending_since_[id] = r->f64();
+    const double since = r->f64();
+    JobTable::Slot* slot = jobs_.find_slot(id);
+    if (slot == nullptr || slot->pending) {
+      r->fail(std::string(slot == nullptr ? "pending entry for unknown job "
+                                          : "duplicate pending entry for job ") +
+              std::to_string(id));
+      break;
+    }
+    jobs_.set_pending(*slot, since);
   }
   r->expect("remaining");
   n = r->u64();
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("rem");
     const cluster::JobId id = r->u64();
-    remaining_work_[id] = r->f64();
+    const double work = r->f64();
+    JobTable::Slot* slot = jobs_.find_slot(id);
+    if (slot == nullptr || slot->has_remaining) {
+      r->fail(std::string(slot == nullptr
+                              ? "remaining entry for unknown job "
+                              : "duplicate remaining entry for job ") +
+              std::to_string(id));
+      break;
+    }
+    jobs_.set_remaining(*slot, work);
   }
 
   r->expect("nodes");
@@ -241,14 +273,18 @@ util::Status ClusterEngine::load_state(
   for (uint64_t i = 0; i < n && r->ok(); ++i) {
     r->expect("run");
     const cluster::JobId id = r->u64();
-    auto rec_it = records_.find(id);
-    if (rec_it == records_.end()) {
+    JobTable::Slot* slot = jobs_.find_slot(id);
+    if (slot == nullptr) {
       r->fail("running job without a record: " + std::to_string(id));
       break;
     }
-    RunningJob job;
+    if (slot->running != nullptr) {
+      r->fail("duplicate running entry for job " + std::to_string(id));
+      break;
+    }
+    RunningJob& job = jobs_.set_running(*slot);
     job.id = id;
-    job.spec = &rec_it->second.spec;  // stable: map node address
+    job.spec = &slot->entry.second.spec;  // stable: slots never move
     job.remaining = r->f64();
     job.rate = r->f64();
     job.last_update = r->f64();
@@ -312,7 +348,6 @@ util::Status ClusterEngine::load_state(
               [](const auto& a, const auto& b) { return a.first < b.first; });
     // finish_event stays empty here; the snapshot manifest re-arms it via
     // rearm_finish at the exact serialized firing time.
-    running_.emplace(id, std::move(job));
   }
 
   for (size_t node = 0; node < jobs_on_node_.size() && r->ok(); ++node) {
@@ -325,18 +360,18 @@ util::Status ClusterEngine::load_state(
     for (uint64_t j = 0; j < k && r->ok(); ++j) {
       r->expect("rid");
       const cluster::JobId id = r->u64();
-      auto run_it = running_.find(id);
-      if (run_it == running_.end()) {
+      JobTable::Slot* slot = jobs_.find_slot(id);
+      if (slot == nullptr || slot->running == nullptr) {
         r->fail("resident references a non-running job");
         break;
       }
-      PerNodeState* st = node_state(run_it->second,
+      PerNodeState* st = node_state(*slot->running,
                                     static_cast<cluster::NodeId>(node));
       if (st == nullptr) {
         r->fail("resident references a node the job does not occupy");
         break;
       }
-      jobs_on_node_[node].push_back(Resident{id, &run_it->second, st});
+      jobs_on_node_[node].push_back(Resident{id, slot->running.get(), st});
     }
   }
 
@@ -365,12 +400,15 @@ util::Status ClusterEngine::load_state(
     }
     refresh_node_screen(static_cast<cluster::NodeId>(node));
   }
-  // The metrics ledger is derived from the restored rates and eval caches.
-  for (const auto& [id, job] : running_) {
+  // The metrics ledger is derived from the restored rates and eval caches,
+  // written in id order (each job appends at the end).
+  for (const uint32_t k : jobs_.order_) {
     if (!r->ok()) {
       break;
     }
-    write_ledger(job);
+    if (jobs_.slot_at(k).running != nullptr) {
+      write_ledger(*jobs_.slot_at(k).running);
+    }
   }
 
   r->expect("mba");

@@ -159,6 +159,15 @@ ExperimentReport build_report(Policy policy, const ClusterEngine& engine,
   }
 
   const double end = engine.sim().now();
+  // Size the per-job vectors up front: growing them by doubling would hold
+  // the old and new buffers together at the report's memory peak.
+  size_t gpu_jobs = 0;
+  for (const auto& [id, record] : engine.records()) {
+    gpu_jobs += record.spec.is_gpu_job() ? 1 : 0;
+  }
+  report.records.reserve(engine.records().size());
+  report.gpu_queue_times.reserve(gpu_jobs);
+  report.cpu_queue_times.reserve(engine.records().size() - gpu_jobs);
   for (const auto& [id, record] : engine.records()) {
     report.records.push_back(record);
     report.evictions += record.evict_count;

@@ -1,6 +1,8 @@
 #include "oracle/oracle.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "perfmodel/train_perf.h"
 
@@ -23,14 +25,24 @@ void ReferenceEliminator::check_all_reference(
   }
 }
 
-TickAggregates EngineOracle::aggregates(const sim::ClusterEngine& engine) {
+TickAggregates EngineOracle::aggregates(const sim::ClusterEngine& engine,
+                                        JobOrder order) {
   engine.ensure_synced();
+  const sim::ClusterEngine::JobTable& jobs = engine.jobs_;
+  std::vector<uint32_t> slots = jobs.order_;
+  if (order == JobOrder::kSlot) {
+    std::sort(slots.begin(), slots.end());
+  }
   perfmodel::TrainPerf perf;
   double gpu_util_weighted = 0.0;
   int active_gpus = 0;
   double cpu_busy = 0.0;
   int active_cores = 0;
-  for (const auto& [id, job] : engine.running_) {
+  for (const uint32_t k : slots) {
+    if (jobs.slot_at(k).running == nullptr) {
+      continue;
+    }
+    const auto& job = *jobs.slot_at(k).running;
     const workload::JobSpec& spec = *job.spec;
     if (spec.is_gpu_job()) {
       const int gpus = spec.total_gpus();
@@ -61,6 +73,16 @@ TickAggregates EngineOracle::aggregates(const sim::ClusterEngine& engine) {
   }
   out.mem_pressure_mean =
       pressure / static_cast<double>(engine.node_reports_.size());
+  return out;
+}
+
+EngineOracle::LedgerCounts EngineOracle::ledger_counts(
+    const sim::ClusterEngine& engine) {
+  LedgerCounts out;
+  for (const auto& row : engine.ledger_) {
+    ++out.rows;
+    out.dead += row.dead ? 1 : 0;
+  }
   return out;
 }
 

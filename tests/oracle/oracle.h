@@ -34,9 +34,22 @@ struct TickAggregates {
 
 class EngineOracle {
  public:
-  // Syncs, then walks the running jobs in id order (prep times from an
+  // The order aggregates() walks running jobs in: ascending id (what the
+  // metrics tick must reproduce), or the engine's slot order (injection
+  // order), which tests use to show a scenario is sensitive to the order.
+  enum class JobOrder { kId, kSlot };
+
+  // Syncs, then walks the running jobs in `order` (prep times from an
   // independent perf model) and the occupied nodes' reports in id order.
-  static TickAggregates aggregates(const sim::ClusterEngine& engine);
+  static TickAggregates aggregates(const sim::ClusterEngine& engine,
+                                   JobOrder order = JobOrder::kId);
+
+  // Rows and tombstoned rows currently in the engine's metrics ledger.
+  struct LedgerCounts {
+    size_t rows = 0;
+    size_t dead = 0;
+  };
+  static LedgerCounts ledger_counts(const sim::ClusterEngine& engine);
 
   // Syncs, then lists every occupied node whose report-summed pressure is
   // at or above `floor`, in id order, with that pressure.

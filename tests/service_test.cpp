@@ -9,6 +9,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -1258,6 +1259,76 @@ TEST(Server, SnapshotRestoreResumesByteIdentically) {
     ASSERT_TRUE(server.drained());
     EXPECT_EQ(server.report_text(), ref_report);
   }
+
+  std::remove(journal_path.c_str());
+  std::remove((journal_path + ".report").c_str());
+  std::remove(snap_path.c_str());
+}
+
+TEST(Server, ExplicitOutOfOrderIdsKeepIdOrderThroughSnapshot) {
+  // SUBMITs with client-chosen ids, out of order and far apart: the
+  // engine's job table stores them in arrival (slot) order, but STATUS,
+  // records() and the snapshot must see ascending id, and a restored
+  // shard must re-capture the snapshot byte for byte.
+  ServerConfig config = tiny_server_config("idorder", 0.0);
+  const std::string journal_path = config.journal_path;
+  const Endpoint endpoint{config.unix_socket_path, -1};
+  // (A CSV row's id column is a signed 64-bit field.)
+  const std::vector<uint64_t> ids = {1005, 1002, (1ull << 62) + 1, 1003};
+  {
+    Server server(std::move(config));
+    ASSERT_TRUE(server.start().ok());
+    auto client = Client::connect(endpoint);
+    ASSERT_TRUE(client.ok());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      workload::JobSpec job;
+      job.id = ids[i];
+      job.kind = workload::JobKind::kCpu;
+      job.cpu_cores = 2 + static_cast<int>(i);
+      job.cpu_work_core_s = 600.0 * static_cast<double>(i + 1);
+      job.mem_bw_gbps = 1.0;
+      job.llc_mb = 2.0;
+      auto resp = client->submit_row(workload::job_to_csv_row(job));
+      ASSERT_TRUE(resp.ok());
+      ASSERT_TRUE(resp->ok()) << resp->payload;
+    }
+    for (const uint64_t id : ids) {
+      auto resp = client->status(id);
+      ASSERT_TRUE(resp.ok());
+      EXPECT_TRUE(resp->ok()) << resp->payload;
+      EXPECT_NE(resp->payload.find("id=" + std::to_string(id) + " "),
+                std::string::npos)
+          << resp->payload;
+    }
+    auto missing = client->status(1004);
+    ASSERT_TRUE(missing.ok());
+    EXPECT_EQ(missing->kind, Response::Kind::kErr);
+    EXPECT_EQ(missing->code, util::ErrorCode::kNotFound);
+    auto snap = client->snapshot();
+    ASSERT_TRUE(snap.ok());
+    ASSERT_TRUE(snap->ok()) << snap->payload;
+    ASSERT_TRUE(client->shutdown().ok());
+    server.wait();
+  }
+
+  const std::string snap_path = journal_path + ".SNAP.1";
+  auto shard = restore_shard(snap_path, "");
+  ASSERT_TRUE(shard.ok()) << shard.error().message;
+  std::vector<uint64_t> walked;
+  for (const auto& [id, record] : shard->engine->records()) {
+    walked.push_back(id);
+  }
+  EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
+  for (const uint64_t id : ids) {
+    EXPECT_EQ(shard->engine->records().count(id), 1u) << id;
+  }
+  auto loaded = state::load_snapshot_file(snap_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+  auto again = state::capture_snapshot(loaded->meta, loaded->session_text,
+                                       *shard->engine,
+                                       *shard->scheduler.scheduler);
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  EXPECT_EQ(*again, read_file_or_empty(snap_path));
 
   std::remove(journal_path.c_str());
   std::remove((journal_path + ".report").c_str());

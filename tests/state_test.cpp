@@ -7,10 +7,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -547,6 +550,101 @@ TEST(Snapshot, RestoreWithLiveThrottlesReproducesReportAndSeries) {
         << name;
   }
   EXPECT_GT(uninterrupted.scheduler.coda->eliminator_stats().releases, 0);
+}
+
+// Job ids of the `key` lines of a snapshot body, in file order.
+std::vector<cluster::JobId> snapshot_ids(const std::string& text,
+                                         const std::string& key) {
+  std::vector<cluster::JobId> ids;
+  const std::string prefix = key + " ";
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t end = text.find('\n', pos);
+    if (end == std::string::npos) {
+      end = text.size();
+    }
+    if (text.compare(pos, prefix.size(), prefix) == 0) {
+      ids.push_back(std::strtoull(text.c_str() + pos + prefix.size(),
+                                  nullptr, 10));
+    }
+    pos = end + 1;
+  }
+  return ids;
+}
+
+TEST(Snapshot, JobTableFollowsIdOrderForOutOfOrderIds) {
+  // Ids injected out of order and far apart land in the engine's job table
+  // in injection (slot) order; records(), every per-job snapshot section
+  // and a restore must still follow ascending id.
+  sim::ExperimentConfig config;
+  config.horizon_s = 3600.0;
+  config.drain_slack_s = 86400.0;
+  config.engine.cluster.node_count = 3;
+  const std::vector<cluster::JobId> ids = {5, 2, (1ull << 63) + 1, 3,
+                                           9, 7, 11, 4};
+  std::vector<workload::JobSpec> trace;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    workload::JobSpec spec;
+    spec.id = ids[i];
+    spec.kind = workload::JobKind::kCpu;
+    spec.cpu_cores = 14;  // two per 28-core node: six run, two wait
+    spec.cpu_work_core_s = 14.0 * 7200.0;
+    spec.mem_bw_gbps = 1.0 + static_cast<double>(i);
+    spec.llc_mb = 2.0;
+    spec.checkpoint_interval_s = 60.0;
+    spec.submit_time = static_cast<double>(i);
+    trace.push_back(spec);
+  }
+  OfflineSession session = start_session(sim::Policy::kFifo, config, trace);
+  session.engine->run_until(200.0);
+  // Evict node 0's two jobs: they keep checkpointed progress (the
+  // snapshot's `remaining` lines) and wait with the two never started.
+  ASSERT_TRUE(session.engine->fail_node(0).ok());
+  session.engine->run_until(300.0);
+
+  std::vector<cluster::JobId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  const auto& records = session.engine->records();
+  std::vector<cluster::JobId> walked;
+  for (const auto& [id, record] : records) {
+    EXPECT_EQ(record.spec.id, id);
+    walked.push_back(id);
+  }
+  EXPECT_EQ(walked, sorted);
+  EXPECT_EQ(records.size(), ids.size());
+  for (const cluster::JobId id : ids) {
+    EXPECT_EQ(records.count(id), 1u);
+    EXPECT_EQ(records.at(id).spec.id, id);
+    ASSERT_NE(records.find(id), records.end());
+    EXPECT_EQ(records.find(id)->first, id);
+  }
+  EXPECT_EQ(records.count(6), 0u);
+  EXPECT_EQ(records.find(6), records.end());
+  EXPECT_THROW((void)records.at(6), std::out_of_range);
+
+  SnapshotMeta meta;
+  meta.seq = 1;
+  meta.virtual_time = session.engine->sim().now();
+  meta.dispatched = session.engine->sim().dispatched();
+  auto blob = capture_snapshot(meta, "offline", *session.engine,
+                               *session.scheduler.scheduler);
+  ASSERT_TRUE(blob.ok()) << blob.error().message;
+  EXPECT_EQ(snapshot_ids(*blob, "rec"), sorted);
+  for (const char* key : {"pend", "rem", "run"}) {
+    const std::vector<cluster::JobId> listed = snapshot_ids(*blob, key);
+    EXPECT_GE(listed.size(), 2u) << key;
+    EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end())) << key;
+  }
+
+  auto parsed = parse_snapshot(*blob);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  auto restored =
+      restore_session(*parsed, sim::Policy::kFifo, config, trace);
+  ASSERT_TRUE(restored.ok()) << restored.error().message;
+  auto again = capture_snapshot(meta, "offline", *restored->engine,
+                                *restored->scheduler.scheduler);
+  ASSERT_TRUE(again.ok()) << again.error().message;
+  EXPECT_EQ(*again, *blob);
 }
 
 TEST(Snapshot, RestoreRejectsUnknownJobIds) {

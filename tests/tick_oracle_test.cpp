@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <initializer_list>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -352,6 +353,157 @@ void run_walk(uint64_t seed, bool release, WalkTotals* totals) {
   totals->stats.mba_throttles += s.mba_throttles;
   totals->stats.core_halvings += s.core_halvings;
   totals->stats.releases += s.releases;
+}
+
+// ---------------------------------------------- metrics ledger scenario
+
+workload::JobSpec ledger_gpu_job(JobId id, perfmodel::ModelId model,
+                                 int nodes, int gpus_per_node) {
+  workload::JobSpec spec;
+  spec.id = id;
+  spec.kind = workload::JobKind::kGpuTraining;
+  spec.model = model;
+  spec.train_config.nodes = nodes;
+  spec.train_config.gpus_per_node = gpus_per_node;
+  spec.iterations = 1e9;  // outlives the scenario
+  return spec;
+}
+
+workload::JobSpec ledger_cpu_job(JobId id, int threads) {
+  workload::JobSpec spec =
+      workload::make_heat_job(workload::HeatParams{threads}, 1e9);
+  spec.id = id;
+  return spec;
+}
+
+sched::Placement legs(std::initializer_list<sched::NodePlacement> nodes) {
+  sched::Placement p;
+  p.nodes.assign(nodes.begin(), nodes.end());
+  return p;
+}
+
+TEST(MetricsLedger, TombstonesRestartsResizesAndCompactionMatchTheScan) {
+  // The ledger's edge cases, each followed by a metrics tick whose values
+  // must equal the oracle's id-ordered scan bit for bit: a job stopped and
+  // restarted between two ticks (its tombstones partly reused by a smaller
+  // id, the rest left behind its new live rows), a leg resized while the
+  // job's rate stays put (its row must still be rewritten), and enough
+  // stops to make the tick compact the tombstones. Ids are injected out of
+  // order, and the scenario is checked to be order-sensitive: summing in
+  // slot (injection) order gives different bits on some tick.
+  sim::EngineConfig config;
+  config.cluster.node_count = 6;
+  World w(config, core::EliminatorConfig{}, /*reference=*/false);
+  sim::ClusterEngine& engine = w.engine;
+  const sched::SchedulerEnv& env = w.scheduler.env();
+  using perfmodel::ModelId;
+
+  const std::vector<workload::JobSpec> jobs = {
+      ledger_gpu_job(40, ModelId::kResnet50, 2, 1),
+      ledger_gpu_job(12, ModelId::kVgg16, 1, 2),
+      ledger_cpu_job(31, 6),
+      ledger_gpu_job(7, ModelId::kInceptionV3, 1, 1),
+      ledger_cpu_job(25, 8),
+      ledger_gpu_job(18, ModelId::kAlexnet, 1, 1),
+      ledger_cpu_job(35, 4),
+      ledger_cpu_job(3, 5),
+      ledger_gpu_job(22, ModelId::kDeepSpeech, 1, 1),
+  };
+  const std::map<JobId, sched::Placement> placements = {
+      {40, legs({{0, 2, 1}, {1, 4, 1}})},
+      {12, legs({{2, 3, 2}})},
+      {31, legs({{2, 6, 0}})},
+      {7, legs({{3, 5, 1}})},
+      {25, legs({{3, 8, 0}})},
+      {18, legs({{4, 4, 1}})},
+      {35, legs({{0, 4, 0}})},
+      {3, legs({{5, 5, 0}})},
+      {22, legs({{5, 2, 1}})},
+  };
+  const auto start = [&](JobId id) {
+    ASSERT_TRUE(env.start_job(id, placements.at(id)).ok()) << id;
+  };
+
+  for (const workload::JobSpec& spec : jobs) {
+    engine.inject(spec, 1.0);
+  }
+  engine.run_until(1.0);
+  for (const workload::JobSpec& spec : jobs) {
+    if (spec.id != 35) {
+      start(spec.id);
+    }
+  }
+
+  int order_sensitive_ticks = 0;
+  const auto check_tick = [&](double t) {
+    engine.run_until(t);
+    ASSERT_EQ(engine.metrics().series("gpu_util_active").points().back().t,
+              t);
+    const oracle::TickAggregates want =
+        oracle::EngineOracle::aggregates(engine);
+    EXPECT_TRUE(same_bits(last_value(engine, "gpu_util_active"),
+                          want.gpu_util_active))
+        << "t " << t;
+    EXPECT_TRUE(same_bits(last_value(engine, "cpu_util_active"),
+                          want.cpu_util_active))
+        << "t " << t;
+    EXPECT_TRUE(same_bits(last_value(engine, "mem_pressure_mean"),
+                          want.mem_pressure_mean))
+        << "t " << t;
+    const oracle::TickAggregates by_slot = oracle::EngineOracle::aggregates(
+        engine, oracle::EngineOracle::JobOrder::kSlot);
+    if (!same_bits(by_slot.gpu_util_active, want.gpu_util_active) ||
+        !same_bits(by_slot.cpu_util_active, want.cpu_util_active)) {
+      ++order_sensitive_ticks;
+    }
+  };
+  check_tick(60.0);
+
+  // Stop and restart job 40 (two legs) between ticks. Job 35 starts in
+  // between and takes one of 40's tombstones; 40's new live rows go in
+  // front of the other.
+  engine.run_until(70.0);
+  ASSERT_TRUE(env.preempt_job(40, /*keep_progress=*/true).ok());
+  engine.run_until(72.0);
+  start(35);
+  engine.run_until(75.0);
+  start(40);
+  engine.run_until(76.0);
+  EXPECT_EQ(oracle::EngineOracle::ledger_counts(engine).dead, 1u);
+  check_tick(120.0);
+
+  // Grow 40's faster leg: leg 0 still gates, so the rate keeps its bits
+  // (the finish event is left alone), but leg 1's cores and busy-core term
+  // move, and the tick must see them.
+  engine.run_until(130.0);
+  const sim::ClusterEngine::EngineStats before = engine.engine_stats();
+  ASSERT_TRUE(env.resize_job(40, 1, 6).ok());
+  engine.run_until(130.0);  // flushes the dirty node
+  EXPECT_EQ(engine.engine_stats().reschedules, before.reschedules);
+  EXPECT_EQ(engine.engine_stats().reschedules_skipped,
+            before.reschedules_skipped + 1);
+  check_tick(180.0);
+
+  // Stop four one-leg jobs: tombstones pass a quarter of the ledger, and
+  // the next tick sums and compacts in one pass.
+  engine.run_until(190.0);
+  for (const JobId id : {12, 31, 7, 25}) {
+    ASSERT_TRUE(env.preempt_job(id, /*keep_progress=*/false).ok()) << id;
+  }
+  engine.run_until(191.0);
+  const oracle::EngineOracle::LedgerCounts full =
+      oracle::EngineOracle::ledger_counts(engine);
+  EXPECT_GE(full.dead * 4, full.rows);
+  check_tick(240.0);
+  const oracle::EngineOracle::LedgerCounts compacted =
+      oracle::EngineOracle::ledger_counts(engine);
+  EXPECT_EQ(compacted.dead, 0u);
+  EXPECT_EQ(compacted.rows, full.rows - full.dead);
+  // After compaction the restarted and resized rows keep matching.
+  ASSERT_TRUE(env.resize_job(40, 1, 3).ok());
+  check_tick(300.0);
+
+  EXPECT_GT(order_sensitive_ticks, 0);
 }
 
 class TickOracleWalk : public testing::TestWithParam<bool> {};
