@@ -1,18 +1,18 @@
-// Scale benchmark: one big experiment vs cluster size and placement path.
+// Scale benchmark: one big experiment vs cluster size.
 //
 // Replays the synthetic scale profile (workload/trace_gen.h: wide multi-node
-// training gangs on a 2k/10k-node cluster) through a live ClusterEngine
-// twice per cluster size: once with the placement index and once with it
-// disabled (set_placement_index_enabled(false): linear scans), so the
-// index's win is measured side by side. Both replays' ExperimentReports
-// must serialize to the same bytes — the placement index is an
-// optimization, never a behavior change — and the binary fails loudly if
-// they disagree.
+// training gangs on a 2k/10k-node cluster) through a live ClusterEngine once
+// per cluster size. Each replay's ExperimentReport must serialize to the
+// bytes recorded when the schedulers could still run on linear scans (the
+// scan and indexed replays produced the same bytes); the binary checks an
+// FNV-1a digest of the report and fails loudly on a mismatch. The
+// per-instant oracle check of every placement query lives in
+// tests/engine_equivalence_test.cpp.
 //
 // Full mode runs {2k, 10k} nodes and prints one machine-readable line —
 // "BENCH_SCALE_JSON {...}" — for scripts/run_benches.sh
-// (events_per_sec_scale is the 10k-node indexed run; placement_ops_per_sec
-// is indexed find/count probes retired per second in that run). --fast /
+// (events_per_sec_scale is the 10k-node run; placement_ops_per_sec is
+// indexed find/count probes retired per second in that run). --fast /
 // CODA_FAST=1 shrinks the workload on both cluster sizes so the binary can
 // run as a ctest case.
 #include <algorithm>
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "sched/placement.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
 #include "sim/report_io.h"
@@ -45,13 +44,14 @@ struct ScaleCase {
   const char* label = "";
   int nodes = 0;
   workload::TraceConfig trace_config;
+  uint64_t report_digest = 0;  // FNV-1a of the linear-scan report bytes
 };
 
 struct ScaleRun {
   size_t events = 0;
   double wall_s = 0.0;
   uint64_t index_probes = 0;  // indexed placement queries in the window
-  std::string report_blob;
+  uint64_t report_digest = 0;  // FNV-1a of the serialized report
 
   double events_per_sec() const {
     return wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
@@ -61,12 +61,17 @@ struct ScaleRun {
   }
 };
 
-ScaleRun replay(const ScaleCase& sc, const std::vector<workload::JobSpec>& trace,
-                bool use_index) {
-  // Results are index-invariant, which run_case() asserts on the report
-  // bytes.
-  sched::set_placement_index_enabled(use_index);
+uint64_t fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
+ScaleRun replay(const ScaleCase& sc,
+                const std::vector<workload::JobSpec>& trace) {
   sim::ExperimentConfig config;
   config.engine.cluster.node_count = sc.nodes;
   double horizon = 0.0;
@@ -93,45 +98,31 @@ ScaleRun replay(const ScaleCase& sc, const std::vector<workload::JobSpec>& trace
   r.events = engine.sim().dispatched() - events0;
   r.wall_s = t1 - t0;
   r.index_probes = engine.cluster().placement_index().stats().probes - probes0;
-  r.report_blob = sim::serialize_report(sim::build_report(
-      sim::Policy::kCoda, engine, trace.size(), horizon, sched.coda));
-  sched::set_placement_index_enabled(true);
+  r.report_digest = fnv1a(sim::serialize_report(sim::build_report(
+      sim::Policy::kCoda, engine, trace.size(), horizon, sched.coda)));
   return r;
 }
 
-struct CaseResult {
-  ScaleRun scan;     // placement index disabled
-  ScaleRun indexed;  // placement index on
-};
-
-// Runs one cluster size: the linear-scan baseline first, then the indexed
-// replay. Exits non-zero when the two reports diverge.
-CaseResult run_case(const ScaleCase& sc) {
+// Runs one cluster size. Exits non-zero when the report's digest is not
+// the recorded one.
+ScaleRun run_case(const ScaleCase& sc) {
   const auto trace = workload::TraceGenerator(sc.trace_config).generate();
   std::printf("case %s: %d nodes, %zu jobs\n", sc.label, sc.nodes,
               trace.size());
-
-  CaseResult cr;
-  cr.scan = replay(sc, trace, /*use_index=*/false);
-  std::printf("  scan   events=%zu  wall=%.2fs  %.0f events/s\n",
-              cr.scan.events, cr.scan.wall_s, cr.scan.events_per_sec());
+  const ScaleRun r = replay(sc, trace);
+  std::printf("  events=%zu  wall=%.2fs  %.0f events/s\n", r.events,
+              r.wall_s, r.events_per_sec());
   std::fflush(stdout);
-
-  cr.indexed = replay(sc, trace, /*use_index=*/true);
-  const ScaleRun& r = cr.indexed;
-  std::printf("  index  events=%zu  wall=%.2fs  %.0f events/s  "
-              "(%.2fx vs scan)\n",
-              r.events, r.wall_s, r.events_per_sec(),
-              r.events_per_sec() / cr.scan.events_per_sec());
-  std::fflush(stdout);
-  if (r.report_blob != cr.scan.report_blob) {
+  if (r.report_digest != sc.report_digest) {
     std::fprintf(stderr,
-                 "bench_scale: indexed report diverges from the linear "
-                 "scan on %s — the placement index changed behavior\n",
-                 sc.label);
+                 "bench_scale: %s report digest %016llx != recorded "
+                 "%016llx — the replay diverges from the linear-scan "
+                 "bytes\n",
+                 sc.label, static_cast<unsigned long long>(r.report_digest),
+                 static_cast<unsigned long long>(sc.report_digest));
     std::exit(1);
   }
-  return cr;
+  return r;
 }
 
 }  // namespace
@@ -145,8 +136,7 @@ int main(int argc, char** argv) {
   }
   bench::print_banner(
       "scale",
-      "one-experiment scalability: events/sec vs cluster size, placement "
-      "index vs linear scan");
+      "one-experiment scalability: events/sec vs cluster size");
 
   std::vector<ScaleCase> cases;
   if (fast) {
@@ -156,6 +146,7 @@ int main(int argc, char** argv) {
     small.trace_config =
         workload::scale_profile(2000, /*gpu_jobs=*/600, /*cpu_jobs=*/900,
                                 /*duration_s=*/4.0 * 3600.0);
+    small.report_digest = 0x4f51b3cf248c9e68ULL;
     cases.push_back(small);
     ScaleCase big;
     big.label = "10k-smoke";
@@ -163,6 +154,7 @@ int main(int argc, char** argv) {
     big.trace_config =
         workload::scale_profile(10000, /*gpu_jobs=*/1200, /*cpu_jobs=*/1800,
                                 /*duration_s=*/2.0 * 3600.0);
+    big.report_digest = 0xed16fada53146ed6ULL;
     cases.push_back(big);
   } else {
     ScaleCase mid;
@@ -171,6 +163,7 @@ int main(int argc, char** argv) {
     mid.trace_config =
         workload::scale_profile(2000, /*gpu_jobs=*/6000, /*cpu_jobs=*/9000,
                                 /*duration_s=*/2.0 * 86400.0);
+    mid.report_digest = 0x039ea4e92fade356ULL;
     cases.push_back(mid);
     ScaleCase big;
     big.label = "10k";
@@ -178,27 +171,21 @@ int main(int argc, char** argv) {
     big.trace_config =
         workload::scale_profile(10000, /*gpu_jobs=*/15000, /*cpu_jobs=*/22500,
                                 /*duration_s=*/1.0 * 86400.0);
+    big.report_digest = 0x92376f3c5c6290f3ULL;
     cases.push_back(big);
   }
 
   util::Table table;
-  table.set_header({"cluster", "mode", "events/s", "vs scan"});
-  double events_per_sec_scale = 0.0;  // 10k nodes, index on (the headline)
-  double index_gain_10k = 0.0;        // index on vs scan
-  double placement_ops_per_sec = 0.0; // 10k nodes, index on
+  table.set_header({"cluster", "events/s", "placement ops/s"});
+  double events_per_sec_scale = 0.0;   // 10k nodes (the headline)
+  double placement_ops_per_sec = 0.0;  // 10k nodes
   for (const ScaleCase& sc : cases) {
-    const CaseResult cr = run_case(sc);
-    const double gain =
-        cr.indexed.events_per_sec() / cr.scan.events_per_sec();
-    table.add_row({sc.label, "scan", bench::num(cr.scan.events_per_sec(), 0),
-                   "1.00x"});
-    table.add_row({sc.label, "index",
-                   bench::num(cr.indexed.events_per_sec(), 0),
-                   bench::num(gain, 2) + "x"});
+    const ScaleRun r = run_case(sc);
+    table.add_row({sc.label, bench::num(r.events_per_sec(), 0),
+                   bench::num(r.probes_per_sec(), 0)});
     if (sc.nodes == 10000) {
-      events_per_sec_scale = cr.indexed.events_per_sec();
-      index_gain_10k = gain;
-      placement_ops_per_sec = cr.indexed.probes_per_sec();
+      events_per_sec_scale = r.events_per_sec();
+      placement_ops_per_sec = r.probes_per_sec();
     }
   }
   std::printf("\n%s\n", table.to_string().c_str());
@@ -206,9 +193,8 @@ int main(int argc, char** argv) {
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf(
       "BENCH_SCALE_JSON {\"events_per_sec_scale\": %.1f, "
-      "\"index_gain_10k\": %.3f, \"placement_ops_per_sec\": %.1f, "
-      "\"hardware_concurrency\": %u}\n",
-      events_per_sec_scale, index_gain_10k, placement_ops_per_sec, hw);
+      "\"placement_ops_per_sec\": %.1f, \"hardware_concurrency\": %u}\n",
+      events_per_sec_scale, placement_ops_per_sec, hw);
 
   if (events_per_sec_scale <= 0.0) {
     std::fprintf(stderr, "bench_scale: no 10k-node measurement\n");

@@ -55,8 +55,8 @@ class IdBitmap {
 
 class PlacementIndex {
  public:
-  // Live-only query/maintenance counters (never serialized; restores and
-  // snapshots must stay byte-identical to the linear-scan implementation).
+  // Live-only query/maintenance counters (never serialized, so snapshot
+  // bytes do not depend on query traffic).
   struct Stats {
     uint64_t probes = 0;    // placement/count/candidate queries answered
     uint64_t rebuilds = 0;  // full reset()s (construction, restore replay)

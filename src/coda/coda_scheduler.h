@@ -23,6 +23,10 @@
 #include "sched/placement.h"
 #include "sched/scheduler.h"
 
+namespace coda::oracle {
+class PlacementOracle;
+}  // namespace coda::oracle
+
 namespace coda::core {
 
 struct CodaConfig {
@@ -112,6 +116,8 @@ class CodaScheduler : public sched::Scheduler, private ExpectedUtilSource {
   void rearm_tuning_tick(double t, cluster::JobId job, uint64_t generation);
 
  private:
+  friend class oracle::PlacementOracle;
+
   // Per-array tenant queues with DRF ordering by the array's dominant
   // resource usage.
   struct ArrayState {
@@ -260,7 +266,7 @@ class CodaScheduler : public sched::Scheduler, private ExpectedUtilSource {
   uint64_t cpu_failed_gen_ = ~0ULL;
   int cpu_failed_reserved_ = -1;
 
-  // Scratch for the indexed eviction-candidate collection.
+  // Scratch for the eviction-candidate collection.
   std::vector<cluster::NodeId> eviction_scratch_;
   // Per-node scratch of evict_cpu_borrowers_for (CPU borrowers) and
   // migrate_cross_borrowers_for (1-GPU cross-borrowers).

@@ -2,23 +2,19 @@
 //
 // All policies use best-fit packing (choose the feasible node that leaves
 // the fewest free GPUs, then the fewest free cores) so that baseline-vs-CODA
-// differences come from the *scheduling policy*, not the packer.
+// differences come from the *scheduling policy*, not the packer. Every query
+// here is answered from the cluster's placement index; the linear scans it
+// replaced live on as the test-side reference (tests/oracle).
 #pragma once
 
-#include <functional>
 #include <optional>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "sched/scheduler.h"
 #include "workload/job.h"
 
 namespace coda::sched {
-
-// Restricts which nodes a search may use; return true to allow.
-using NodeFilter = std::function<bool(const cluster::Node&)>;
-
-// Always-true filter.
-NodeFilter any_node();
 
 // How many CPU cores a placement should give the job on each node.
 // For GPU jobs this is the paper's per-node core count (requested by the
@@ -35,41 +31,29 @@ PlacementRequest baseline_request(const workload::JobSpec& spec);
 
 // Half-open node-id interval a search is restricted to. Every structural
 // node restriction the schedulers use (CODA's four-GPU/one-GPU arrays) is
-// an id threshold, which lets the search run on the cluster's placement
-// index instead of a full scan.
+// an id threshold, which the placement index answers directly.
 using IdRange = cluster::PlacementIndex::IdRange;
 
 // Finds a best-fit placement over all nodes (or an id range), or nullopt
 // when the cluster cannot host the request right now. Deterministic: ties
-// break on node id. Served from the cluster's placement index unless it is
-// disabled with set_placement_index_enabled — both paths return
-// bit-identical results.
+// break on node id.
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         const PlacementRequest& request);
 std::optional<Placement> find_placement(const cluster::Cluster& cluster,
                                         const PlacementRequest& request,
                                         IdRange range);
 
-// Arbitrary-predicate variant: always a linear scan (the index cannot
-// answer opaque filters). Kept for callers with genuinely ad-hoc
-// restrictions; the hot scheduler paths use the overloads above.
-std::optional<Placement> find_placement(const cluster::Cluster& cluster,
-                                        const PlacementRequest& request,
-                                        const NodeFilter& filter);
-
-// Counts how many requests of this shape could start right now (capacity
-// probes used by array rebalancing); stops counting at `limit`. The IdRange
-// overload answers from bucket counts; the NodeFilter overload scans.
+// Counts how many requests of this shape could start right now in `range`
+// (capacity probes, from the index's bucket counts); stops counting at
+// `limit`.
 int count_feasible(const cluster::Cluster& cluster,
                    const PlacementRequest& request, IdRange range, int limit);
-int count_feasible(const cluster::Cluster& cluster,
-                   const PlacementRequest& request, const NodeFilter& filter,
-                   int limit);
 
-// Runtime switch between the indexed and linear-scan search paths. The
-// index is maintained either way, so toggling is safe at any time; the
-// scale bench uses it to measure both implementations side by side.
-bool placement_index_enabled();
-void set_placement_index_enabled(bool enabled);
+// Replaces `out` with every in-range node that could host one leg of
+// `request` once its CPU borrowers leave (enough free GPUs, too few free
+// cores), in ascending id order — the order CODA's preemption pass visits.
+void eviction_candidates(const cluster::Cluster& cluster,
+                         const PlacementRequest& request, IdRange range,
+                         std::vector<cluster::NodeId>* out);
 
 }  // namespace coda::sched

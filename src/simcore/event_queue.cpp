@@ -79,35 +79,6 @@ void EventQueue::pending_events(std::vector<PendingEvent>* out) const {
             });
 }
 
-size_t EventQueue::erase_kind(uint32_t kind) {
-  size_t dropped = 0;
-  const auto drop = [&](const Entry& entry) {
-    if (entry.kind != kind || stale(entry)) {
-      return false;
-    }
-    if (entry.slot != EventPool::kNoSlot) {
-      pool_->release(entry.slot);
-    }
-    --pool_->live_;
-    ++dropped;
-    return true;
-  };
-  const auto sweep = [&](std::vector<Entry>& entries) {
-    entries.erase(std::remove_if(entries.begin(), entries.end(), drop),
-                  entries.end());
-  };
-  sweep(near_);
-  std::make_heap(near_.begin(), near_.end(), Later{});
-  for (auto& bucket : far_) {
-    sweep(bucket);
-  }
-  sweep(overflow_);
-  if (pool_->live_ == 0) {
-    reset_structures();
-  }
-  return dropped;
-}
-
 void EventQueue::refill() {
   for (;;) {
     // Cancelled entries already left the live count (EventPool::cancel);

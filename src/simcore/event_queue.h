@@ -171,11 +171,6 @@ class EventQueue {
   // ((t, seq) ascending).
   void pending_events(std::vector<PendingEvent>* out) const;
 
-  // Drops every live entry of `kind` (pushed ones release their slots).
-  // O(queued entries); for rare structural changes such as stopping a
-  // periodic chain. Returns the number dropped.
-  size_t erase_kind(uint32_t kind);
-
   // True when no live (non-cancelled) events remain.
   bool empty() const { return pool_->live_ == 0; }
 

@@ -48,14 +48,6 @@ void Simulator::start_periodic(SimTime first, SimTime period,
   queue_.post(first, tag);
 }
 
-void Simulator::stop_periodic(uint32_t kind) {
-  if (!periodic_running(kind)) {
-    return;
-  }
-  kinds_[kind].period = 0.0;
-  queue_.erase_kind(kind);
-}
-
 void Simulator::restore_clock(SimTime now, size_t dispatched) {
   CODA_ASSERT_MSG(queue_.empty(),
                   "restore_clock requires an empty event queue");
@@ -78,7 +70,7 @@ size_t Simulator::run_until(SimTime until) {
     CODA_ASSERT_MSG(has_handler(ev.tag.kind), "event kind has no handler");
     kinds_[ev.tag.kind].handler(ev.tag);
     // Re-read the table: the handler may have registered kinds (growing
-    // it) or stopped its own chain.
+    // it).
     const SimTime period = kinds_[ev.tag.kind].period;
     if (period > 0.0) {
       queue_.post(now_ + period, ev.tag);

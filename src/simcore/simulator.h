@@ -52,11 +52,6 @@ class Simulator {
   // runs.
   void start_periodic(SimTime first, SimTime period, const EventTag& tag);
 
-  // Ends the chain of `kind`: its queued tick is dropped (or, when called
-  // from the tick's own handler, no re-post happens). No-op when no chain
-  // of that kind runs.
-  void stop_periodic(uint32_t kind);
-
   // Whether a periodic chain of `kind` is running.
   bool periodic_running(uint32_t kind) const {
     return kind < kinds_.size() && kinds_[kind].period > 0.0;

@@ -56,7 +56,8 @@ Result<double> parse_strict_double(const std::string& text,
 }
 
 Result<unsigned long long> parse_strict_u64(const std::string& text) {
-  if (text.empty() || text[0] == '-') {
+  // Digits only: strtoull skips leading blanks and wraps a '-' after them.
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
     return Error{ErrorCode::kParseError,
                  strfmt("'%s' is not an unsigned integer", text.c_str())};
   }

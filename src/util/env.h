@@ -24,8 +24,8 @@ Result<long long> parse_strict_int(const std::string& text,
 // value >= min_value. Accepts anything strtod does (including hexfloats).
 Result<double> parse_strict_double(const std::string& text, double min_value);
 
-// Full-u64-range strict parse (seeds, job ids). Rejects negative input
-// up front — strtoull would silently wrap it.
+// Full-u64-range strict parse (seeds, job ids). Digits only: a sign or a
+// leading blank is rejected up front — strtoull would silently wrap "-1".
 Result<unsigned long long> parse_strict_u64(const std::string& text);
 
 // Reads integer env var `name`. Returns `fallback` when the variable is

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/csv.h"
+#include "util/env.h"
 #include "util/strings.h"
 
 namespace coda::workload {
@@ -143,12 +144,12 @@ util::Result<std::vector<JobSpec>> trace_from_csv(const std::string& text) {
     if (!parsed_.ok()) return parsed_.error(); \
     target = *parsed_;                        \
   } while (0)
-    long long id = 0;
-    CODA_PARSE(parse_int(row[0], r, "id"), id);
-    if (id < 0) {
-      return field_error(r, "id", row[0], "is negative");
+    // Ids span the full uint64 range trace_to_csv writes.
+    auto id = util::parse_strict_u64(row[0]);
+    if (!id.ok()) {
+      return field_error(r, "id", row[0], "is not an unsigned 64-bit integer");
     }
-    j.id = static_cast<cluster::JobId>(id);
+    j.id = *id;
     long long tenant = 0;
     CODA_PARSE(parse_int(row[1], r, "tenant"), tenant);
     if (tenant < 0 || tenant > std::numeric_limits<cluster::TenantId>::max()) {

@@ -25,6 +25,10 @@ void ReferenceEliminator::check_all_reference(
   }
 }
 
+void EngineOracle::sample_metrics(sim::ClusterEngine& engine) {
+  engine.sample_metrics();
+}
+
 TickAggregates EngineOracle::aggregates(const sim::ClusterEngine& engine,
                                         JobOrder order) {
   engine.ensure_synced();

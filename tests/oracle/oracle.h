@@ -51,6 +51,10 @@ class EngineOracle {
   };
   static LedgerCounts ledger_counts(const sim::ClusterEngine& engine);
 
+  // Runs the engine's metrics tick now — a test that takes over the tick's
+  // handler calls this to sample, then inspects the state it sampled.
+  static void sample_metrics(sim::ClusterEngine& engine);
+
   // Syncs, then lists every occupied node whose report-summed pressure is
   // at or above `floor`, in id order, with that pressure.
   static void screen(const sim::ClusterEngine& engine, double floor,

@@ -2,12 +2,12 @@
 //
 // Drives a cluster through thousands of random mutations (allocate, resize,
 // release, failure toggles, CPU-bias updates) and checks after every step
-// that the indexed query paths return exactly what the linear scans return:
-// find_placement / count_feasible via the runtime toggle, and the CODA side
-// queries (best_adjusted_fit, best_free_cpu_fit, eviction candidates, the
-// fragmentation bucket sum) against brute-force recomputation from the
-// nodes. The index is pure derived state — any divergence here is a
-// maintenance bug, not a modelling choice.
+// that each indexed query returns exactly what the oracle's linear scans
+// (tests/oracle/placement_oracle.h) return: find_placement,
+// count_feasible and eviction_candidates over random id ranges, and the
+// CODA side queries (best_adjusted_fit, best_free_cpu_fit, the
+// fragmentation bucket sum). The index is pure derived state — any
+// divergence here is a maintenance bug, not a modelling choice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "oracle/placement_oracle.h"
 #include "sched/placement.h"
 #include "util/rng.h"
 
@@ -26,12 +27,7 @@ using cluster::Cluster;
 using cluster::ClusterConfig;
 using cluster::NodeId;
 using cluster::PlacementIndex;
-
-// Restores the global toggle even when an assertion aborts the test body.
-struct IndexToggle {
-  explicit IndexToggle(bool enabled) { sched::set_placement_index_enabled(enabled); }
-  ~IndexToggle() { sched::set_placement_index_enabled(true); }
-};
+using oracle::PlacementOracle;
 
 ClusterConfig mixed_cluster() {
   ClusterConfig cfg;
@@ -65,59 +61,16 @@ bool placements_equal(const std::optional<sched::Placement>& a,
   return true;
 }
 
-// Brute-force mirrors of the CODA-side index queries, computed straight
-// from the nodes and the published bias table.
-NodeId brute_best_adjusted_fit(const Cluster& cluster, int cpus) {
-  NodeId best = PlacementIndex::kNone;
-  int best_adj = 0;
-  for (const auto& node : cluster.nodes()) {
-    const int bias = cluster.placement_index().cpu_bias(node.id());
-    const int adj = std::max(0, node.free_cpus() - bias);
-    if (adj < cpus) {
-      continue;
-    }
-    if (best == PlacementIndex::kNone || adj < best_adj) {
-      best = node.id();
-      best_adj = adj;
-    }
+// The index's half of the CODA CPU-array pick, composed as the scheduler
+// composes it.
+PlacementOracle::CpuFit indexed_cpu_fit(const PlacementIndex& index,
+                                        int cpus, bool may_borrow) {
+  PlacementOracle::CpuFit fit{index.best_adjusted_fit(cpus), false};
+  if (fit.node == PlacementIndex::kNone && may_borrow) {
+    fit.node = index.best_free_cpu_fit(cpus);
+    fit.borrows = fit.node != PlacementIndex::kNone;
   }
-  return best;
-}
-
-NodeId brute_best_free_cpu_fit(const Cluster& cluster, int cpus) {
-  NodeId best = PlacementIndex::kNone;
-  int best_free = 0;
-  for (const auto& node : cluster.nodes()) {
-    if (node.free_cpus() < cpus) {
-      continue;
-    }
-    if (best == PlacementIndex::kNone || node.free_cpus() < best_free) {
-      best = node.id();
-      best_free = node.free_cpus();
-    }
-  }
-  return best;
-}
-
-std::vector<NodeId> brute_eviction_candidates(const Cluster& cluster,
-                                              int gpus, int cpus_below) {
-  std::vector<NodeId> out;
-  for (const auto& node : cluster.nodes()) {
-    if (node.free_gpus() >= gpus && node.free_cpus() < cpus_below) {
-      out.push_back(node.id());
-    }
-  }
-  return out;
-}
-
-long long brute_free_gpu_sum_below(const Cluster& cluster, int gpus) {
-  long long total = 0;
-  for (const auto& node : cluster.nodes()) {
-    if (node.free_gpus() > 0 && node.free_gpus() < gpus) {
-      total += node.free_gpus();
-    }
-  }
-  return total;
+  return fit;
 }
 
 TEST(PlacementIndexProperty, RandomWalkMatchesLinearScan) {
@@ -174,7 +127,7 @@ TEST(PlacementIndexProperty, RandomWalkMatchesLinearScan) {
           node, static_cast<int>(rng.uniform_int(0, 10)));
     }
 
-    // --- indexed vs linear find_placement / count_feasible -------------
+    // --- indexed vs oracle find_placement / count_feasible / evictions ---
     sched::PlacementRequest req;
     req.nodes = static_cast<int>(rng.uniform_int(1, 3));
     req.gpus_per_node = static_cast<int>(rng.uniform_int(0, 4));
@@ -190,43 +143,44 @@ TEST(PlacementIndexProperty, RandomWalkMatchesLinearScan) {
     }
     const int limit = static_cast<int>(rng.uniform_int(1, 12));
 
-    std::optional<sched::Placement> indexed;
-    std::optional<sched::Placement> scanned;
-    int indexed_count = 0;
-    int scanned_count = 0;
-    {
-      IndexToggle on(true);
-      indexed = sched::find_placement(cluster, req, range);
-      indexed_count = sched::count_feasible(cluster, req, range, limit);
-    }
-    {
-      IndexToggle off(false);
-      scanned = sched::find_placement(cluster, req, range);
-      scanned_count = sched::count_feasible(cluster, req, range, limit);
-    }
-    ASSERT_TRUE(placements_equal(indexed, scanned))
+    const PlacementIndex& index = cluster.placement_index();
+    const PlacementOracle oracle(cluster, [&index](const cluster::Node& node) {
+      // The CPU-array budget the index's adjusted table encodes.
+      return std::max(0, node.free_cpus() - index.cpu_bias(node.id()));
+    });
+    ASSERT_TRUE(placements_equal(sched::find_placement(cluster, req, range),
+                                 oracle.find_placement(req, range)))
         << "step " << step << " req={" << req.nodes << ","
         << req.gpus_per_node << "," << req.cpus_per_node << "} range=["
         << range.lo << "," << range.hi << ")";
-    ASSERT_EQ(indexed_count, scanned_count) << "step " << step;
+    ASSERT_EQ(sched::count_feasible(cluster, req, range, limit),
+              oracle.count_feasible(req, range, limit))
+        << "step " << step;
+    std::vector<NodeId> candidates;
+    sched::eviction_candidates(cluster, req, range, &candidates);
+    ASSERT_EQ(candidates, oracle.eviction_candidates(req, range))
+        << "step " << step;
 
-    // --- CODA side queries vs brute force -------------------------------
-    const PlacementIndex& index = cluster.placement_index();
+    // --- CODA side queries vs the oracle --------------------------------
     const int k = static_cast<int>(rng.uniform_int(1, 12));
-    ASSERT_EQ(index.best_adjusted_fit(k), brute_best_adjusted_fit(cluster, k))
-        << "step " << step << " k=" << k;
+    for (const bool may_borrow : {false, true}) {
+      ASSERT_EQ(indexed_cpu_fit(index, k, may_borrow),
+                oracle.cpu_array_best_fit(k, may_borrow))
+          << "step " << step << " k=" << k << " borrow=" << may_borrow;
+    }
+    // With no CPU-array budget anywhere every pick borrows, which holds the
+    // free-cores table to the oracle on its own.
     ASSERT_EQ(index.best_free_cpu_fit(k),
-              brute_best_free_cpu_fit(cluster, k))
+              PlacementOracle(cluster, [](const cluster::Node&) { return 0; })
+                  .cpu_array_best_fit(k, /*may_borrow=*/true)
+                  .node)
         << "step " << step << " k=" << k;
     const int eg = static_cast<int>(rng.uniform_int(1, 4));
-    const int ec = static_cast<int>(rng.uniform_int(0, 8));
-    std::vector<NodeId> candidates;
-    index.collect_eviction_candidates(eg, ec, {}, &candidates);
-    std::sort(candidates.begin(), candidates.end());
-    ASSERT_EQ(candidates, brute_eviction_candidates(cluster, eg, ec))
-        << "step " << step << " eg=" << eg << " ec=" << ec;
     ASSERT_EQ(index.free_gpu_sum_below(eg),
-              brute_free_gpu_sum_below(cluster, eg))
+              oracle
+                  .fragmentation(sched::Scheduler::PendingGpuDemand{eg, 1},
+                                 [](NodeId) { return 0; })
+                  .adjacency)
         << "step " << step << " eg=" << eg;
   }
   // The walk must actually exercise the cluster, not no-op through it.

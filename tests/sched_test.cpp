@@ -118,9 +118,7 @@ TEST(Placement, BestFitPacksTightest) {
 TEST(Placement, RespectsFilter) {
   FakeEngine engine(3);
   PlacementRequest req{1, 1, 1};
-  auto placement = find_placement(
-      engine.cluster(), req,
-      [](const cluster::Node& n) { return n.id() == 1; });
+  auto placement = find_placement(engine.cluster(), req, IdRange{1, 2});
   ASSERT_TRUE(placement.has_value());
   EXPECT_EQ(placement->nodes[0].node, 1u);
 }
@@ -147,13 +145,13 @@ TEST(Placement, FailsWhenNothingFits) {
 TEST(Placement, CountFeasibleProbes) {
   FakeEngine engine(2);  // 2 nodes x (8 cores, 2 gpus)
   EXPECT_EQ(count_feasible(engine.cluster(), PlacementRequest{1, 1, 4},
-                           any_node(), 100),
+                           IdRange{}, 100),
             4);
   EXPECT_EQ(count_feasible(engine.cluster(), PlacementRequest{1, 0, 3},
-                           any_node(), 100),
+                           IdRange{}, 100),
             4);  // floor(8/3) per node
   EXPECT_EQ(count_feasible(engine.cluster(), PlacementRequest{1, 1, 1},
-                           any_node(), 3),
+                           IdRange{}, 3),
             3);  // limited
 }
 

@@ -227,6 +227,7 @@ TEST(Env, ParseStrictU64) {
             0xFFFFFFFFFFFFFFFFull);
   EXPECT_FALSE(util::parse_strict_u64("").ok());
   EXPECT_FALSE(util::parse_strict_u64("-1").ok());  // strtoull would wrap
+  EXPECT_FALSE(util::parse_strict_u64(" -1").ok());  // even after a blank
   EXPECT_FALSE(util::parse_strict_u64("7up").ok());
   EXPECT_FALSE(util::parse_strict_u64("18446744073709551616").ok());
 }
@@ -1273,7 +1274,6 @@ TEST(Server, ExplicitOutOfOrderIdsKeepIdOrderThroughSnapshot) {
   ServerConfig config = tiny_server_config("idorder", 0.0);
   const std::string journal_path = config.journal_path;
   const Endpoint endpoint{config.unix_socket_path, -1};
-  // (A CSV row's id column is a signed 64-bit field.)
   const std::vector<uint64_t> ids = {1005, 1002, (1ull << 62) + 1, 1003};
   {
     Server server(std::move(config));
@@ -1333,6 +1333,48 @@ TEST(Server, ExplicitOutOfOrderIdsKeepIdOrderThroughSnapshot) {
   std::remove(journal_path.c_str());
   std::remove((journal_path + ".report").c_str());
   std::remove(snap_path.c_str());
+}
+
+TEST(Server, SubmitIdAboveInt64MaxIsJournaledAndReplays) {
+  // Job ids span the full uint64 range: a SUBMIT row with an explicit id
+  // past 2^63 is acknowledged, journaled verbatim, and the journal replays
+  // to the live report.
+  ServerConfig config = tiny_server_config("bigid", 0.0);
+  const std::string journal_path = config.journal_path;
+  const Endpoint endpoint{config.unix_socket_path, -1};
+  const uint64_t id = (1ull << 63) + 1;
+  Server server(std::move(config));
+  ASSERT_TRUE(server.start().ok());
+  auto client = Client::connect(endpoint);
+  ASSERT_TRUE(client.ok());
+  workload::JobSpec job;
+  job.id = id;
+  job.kind = workload::JobKind::kCpu;
+  job.cpu_cores = 2;
+  job.cpu_work_core_s = 600.0;
+  job.mem_bw_gbps = 1.0;
+  job.llc_mb = 2.0;
+  auto resp = client->submit_row(workload::job_to_csv_row(job));
+  ASSERT_TRUE(resp.ok());
+  ASSERT_TRUE(resp->ok()) << resp->payload;
+  auto status = client->status(id);
+  ASSERT_TRUE(status.ok());
+  EXPECT_TRUE(status->ok()) << status->payload;
+  auto drained = client->drain();
+  ASSERT_TRUE(drained.ok());
+  EXPECT_TRUE(drained->ok()) << drained->payload;
+  ASSERT_TRUE(client->shutdown().ok());
+  server.wait();
+
+  EXPECT_NE(read_file_or_empty(journal_path).find(std::to_string(id)),
+            std::string::npos);
+  const std::string live_report = server.report_text();
+  ASSERT_FALSE(live_report.empty());
+  auto replayed = replay_journal_file(journal_path);
+  ASSERT_TRUE(replayed.ok()) << replayed.error().message;
+  EXPECT_EQ(sim::serialize_report(*replayed), live_report);
+  std::remove(journal_path.c_str());
+  std::remove((journal_path + ".report").c_str());
 }
 
 TEST(Server, PacedSnapshotReplaysFromSnapshotByteForByte) {

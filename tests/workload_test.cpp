@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include "perfmodel/train_perf.h"
@@ -314,6 +315,35 @@ TEST(TraceIo, RejectsMalformedNumbersWithRowContext) {
   bad = good;
   replace_once(bad, "567.0", "1e999999");  // out of double range
   EXPECT_FALSE(trace_from_csv(bad).ok());
+}
+
+TEST(TraceIo, IdsAboveInt64MaxRoundTrip) {
+  // trace_to_csv writes ids as unsigned 64-bit; the reader takes back the
+  // whole range.
+  JobSpec high = distinctive_gpu_spec();
+  high.id = (1ull << 63) + 1;
+  JobSpec top = distinctive_cpu_spec();
+  top.id = std::numeric_limits<uint64_t>::max();
+  const std::string csv = trace_to_csv({high, top});
+  auto parsed = trace_from_csv(csv);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+  ASSERT_EQ(parsed->size(), 2u);
+  EXPECT_EQ((*parsed)[0].id, (1ull << 63) + 1);
+  EXPECT_EQ((*parsed)[1].id, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(trace_to_csv(*parsed), csv);
+
+  // A negative id (which strtoull would wrap) and one past the range stay
+  // typed errors naming the column.
+  for (const char* bad_id : {"-1", "18446744073709551616", " -1", "+1"}) {
+    SCOPED_TRACE(bad_id);
+    std::string bad = trace_to_csv({distinctive_gpu_spec()});
+    replace_once(bad, "\n1,", std::string("\n") + bad_id + ",");
+    auto rejected = trace_from_csv(bad);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.error().code, util::ErrorCode::kParseError);
+    EXPECT_NE(rejected.error().message.find("'id'"), std::string::npos)
+        << rejected.error().message;
+  }
 }
 
 TEST(TraceIo, RejectsSemanticallyInvalidJobs) {
